@@ -9,6 +9,15 @@ form the domain the rest of the library studies.
 Validation is explicit and mandatory: ``validate_cf`` produces a report
 and stamps the space; every closed-set level operation refuses to run
 on an unvalidated space rather than re-validating silently.
+
+Validation has a fast form and a literal oracle.  On a finite universe
+a witness for the greatest chunk, the whole upper approximation of a
+member, covers every smaller chunk too, so the fast form tests that one
+chunk per member; the oracle (``oracle=True`` or ``RunConfig.oracle``)
+walks every chunk and is bounded by ``cap_universe``.  Closedness is
+only ever decided by its definition, every chunk of the candidate set,
+so the brute-force closed-set scan stays an independent cross-check of
+the image algorithm.
 """
 
 from __future__ import annotations
@@ -100,7 +109,14 @@ class CFSpace:
 
 @dataclass(frozen=True)
 class CFValidationReport:
-    """Outcome of the admissibility check of a CF space."""
+    """Outcome of the admissibility check of a CF space.
+
+    ``exhaustive`` says which form answered: true for the oracle, which
+    counts every chunk K of every upper(F) in ``checked``; false for the
+    fast form, which checks one chunk per member, so ``checked`` equals
+    the family size.  Counterexamples and witnesses are keyed by
+    (member, chunk) pairs in both forms.
+    """
 
     ok: bool
     transitive: bool
@@ -113,38 +129,62 @@ class CFValidationReport:
         return self.ok
 
 
-def validate_cf(space, record_witnesses=False, config=None):
+def _first_cover(space, rf):
+    """Index of the first member G, in family order, with G inside rf
+    and rf inside upper(G); None when there is none."""
+    rmasks = space._rmasks
+    for j, fm in enumerate(space._fmasks):
+        if fm & ~rf == 0 and rf & ~rmasks[j] == 0:
+            return j
+    return None
+
+
+def _all_chunk_covers(space, rf):
+    """(K, first re-covering member index or None) for every K inside rf."""
+    cands = [(j, space._rmasks[j]) for j, fm in enumerate(space._fmasks)
+             if fm & ~rf == 0]
+    for k in iter_submasks(rf):
+        yield k, next((j for j, rg in cands if k & ~rg == 0), None)
+
+
+def validate_cf(space, record_witnesses=False, config=None, oracle=False):
     """Check the re-covering condition of a CF space.
 
     For each family member F and each finite K inside the upper
     approximation of F (the empty K included), some member G must
-    satisfy K inside upper(G) and G inside upper(F).  Inside the
-    universe cap every K is enumerated; beyond it only the greatest K
-    (the whole upper approximation) is tested, which is equivalent on a
-    finite universe, and the report says so via ``exhaustive=False``.
-    The passing report stamps the space as admissible for closed-set
-    operations.
+    satisfy K inside upper(G) and G inside upper(F).  A G that serves
+    the greatest K, upper(F) itself, serves every K, so by default one
+    scan per member finds the first such G in family order (members
+    with equal upper approximations share it) and the report says
+    ``exhaustive=False``.  With ``oracle=True`` (or ``config.oracle``)
+    every K is enumerated, which needs |U| <= ``cap_universe``, and the
+    report says ``exhaustive=True``.  The passing report stamps the
+    space as admissible for closed-set operations; a cached report is
+    reused unless witnesses are asked for or the oracle is asked for
+    and the cached report is not exhaustive.
     """
     cfg = resolve(config)
-    n = len(space.universe)
-    exhaustive = n <= cfg.cap_universe
-    if space._validation is not None and not record_witnesses:
-        return space._validation
+    oracle = oracle or cfg.oracle
+    cached = space._validation
+    if cached is not None and not record_witnesses and (cached.exhaustive or not oracle):
+        return cached
+    if oracle and len(space.universe) > cfg.cap_universe:
+        raise SizeCapExceeded(
+            f"exhaustive validation needs |U| <= {cfg.cap_universe}")
     transitive = relation_properties(space.base).transitive
     counterexamples = []
     witnesses = {} if record_witnesses else None
     checked = 0
+    first = {}  # upper mask -> index of its first covering member
     for fi, rf in enumerate(space._rmasks):
-        cands = [j for j, fm in enumerate(space._fmasks) if fm & ~rf == 0]
-        cand_rs = [space._rmasks[j] for j in cands]
-        chunks = iter_submasks(rf) if exhaustive else (rf,)
-        for k in chunks:
+        if oracle:
+            chunks = _all_chunk_covers(space, rf)
+        else:
+            if rf not in first:
+                first[rf] = _first_cover(space, rf)
+            chunks = ((rf, first[rf]),)
+        for k, hit in chunks:
             checked += 1
-            hit = None
-            for pos, rg in enumerate(cand_rs):
-                if k & ~rg == 0:
-                    hit = cands[pos]
-                    break
             if hit is None:
                 counterexamples.append(
                     (space.family[fi], space.base.subset(k)))
@@ -155,7 +195,7 @@ def validate_cf(space, record_witnesses=False, config=None):
         transitive=transitive,
         counterexamples=tuple(counterexamples),
         checked=checked,
-        exhaustive=exhaustive,
+        exhaustive=oracle,
         witnesses=witnesses,
     )
     space._validation = report
@@ -172,16 +212,27 @@ def require_validated(space):
 # CF-closed sets
 # --------------------------------------------------------------------------
 
-def _closed_mask(space, emask):
-    """Mask-level closedness: every K inside E is re-covered within E."""
-    good = []
-    for j, fm in enumerate(space._fmasks):
-        if fm & ~emask == 0 and space._rmasks[j] & ~emask == 0:
-            good.append(space._rmasks[j])
+def _uncovered_chunk(space, emask, witnesses=None):
+    """Definitional closedness of the set with mask ``emask``.
+
+    Every K inside E must be re-covered within E: some member G inside
+    E with K inside upper(G) inside E.  Walks every submask K and
+    returns the first one that is not re-covered, or None when E is
+    closed.  A ``witnesses`` dict, when given, receives K mask -> index
+    of the first re-covering member for each K walked.
+    """
+    rmasks = space._rmasks
+    good = [(j, rmasks[j]) for j, fm in enumerate(space._fmasks)
+            if fm & ~emask == 0 and rmasks[j] & ~emask == 0]
     for k in iter_submasks(emask):
-        if not any(k & ~rg == 0 for rg in good):
-            return False
-    return True
+        for j, rg in good:
+            if k & ~rg == 0:
+                if witnesses is not None:
+                    witnesses[k] = j
+                break
+        else:
+            return k
+    return None
 
 
 @dataclass(frozen=True)
@@ -205,21 +256,13 @@ def is_cf_closed(space, E, record_witnesses=False):
     """
     require_validated(space)
     emask = space.base.mask(E)  # raises ElementNotInUniverse on foreign atoms
-    good = [(space.family[j], space._rmasks[j])
-            for j, fm in enumerate(space._fmasks)
-            if fm & ~emask == 0 and space._rmasks[j] & ~emask == 0]
-    witnesses = {} if record_witnesses else None
-    for k in iter_submasks(emask):
-        hit = None
-        for F, rg in good:
-            if k & ~rg == 0:
-                hit = F
-                break
-        if hit is None:
-            return ClosednessCheck(False, frozenset(E), space.base.subset(k), witnesses)
-        if record_witnesses:
-            witnesses[space.base.subset(k)] = hit
-    return ClosednessCheck(True, frozenset(E), None, witnesses)
+    found = {} if record_witnesses else None
+    k = _uncovered_chunk(space, emask, found)
+    witnesses = None
+    if record_witnesses:
+        witnesses = {space.base.subset(m): space.family[j] for m, j in found.items()}
+    counterexample = None if k is None else space.base.subset(k)
+    return ClosednessCheck(k is None, frozenset(E), counterexample, witnesses)
 
 
 def cf_closed_sets_masks(space, method="image", config=None):
@@ -230,10 +273,11 @@ def cf_closed_sets_masks(space, method="image", config=None):
         if n > cfg.cap_universe:
             raise SizeCapExceeded(
                 f"brute-force closed-set scan needs |U| <= {cfg.cap_universe}")
-        return sorted(m for m in iter_subset_masks(n) if _closed_mask(space, m))
+        return sorted(m for m in iter_subset_masks(n)
+                      if _uncovered_chunk(space, m) is None)
     if method == "image":
         cands = sorted(set(space._rmasks))
-        return sorted(m for m in cands if _closed_mask(space, m))
+        return sorted(m for m in cands if _uncovered_chunk(space, m) is None)
     raise ValueError(f"unknown method {method!r}")
 
 

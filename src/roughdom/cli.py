@@ -57,7 +57,8 @@ class Reporter:
         self.config = config
         self.entries = []
 
-    def add(self, check, status, counterexample=None, timing=0.0, detail=None):
+    def add(self, check, status, counterexample=None, timing=0.0, detail=None,
+            listing=None):
         entry = {
             "check": check,
             "status": status,
@@ -71,6 +72,8 @@ class Reporter:
             entry["counterexample"] = counterexample
         if detail is not None:
             entry["detail"] = detail
+        if listing is not None:
+            entry["listing"] = listing
         self.entries.append(entry)
 
     def emit(self, stream=None):
@@ -85,6 +88,8 @@ class Reporter:
                 if "detail" in e:
                     line += f" {e['detail']}"
                 stream.write(line + "\n")
+                for item in e.get("listing", ()):
+                    stream.write("{" + ",".join(item) + "}\n")
 
 
 def _jsonable(value):
@@ -127,7 +132,7 @@ def cmd_validate(args, config, reporter):
             counter = "relation is not transitive"
         reporter.add("cf-admissibility", status, counter,
                      time.perf_counter() - t0,
-                     detail=f"checked={report.checked}")
+                     detail=f"checked={report.checked} exhaustive={report.exhaustive}")
         return EXIT_PASS if report.ok else EXIT_FAIL
     if kind == "rel":
         rel = docs.load_relation(args.path)
@@ -178,12 +183,9 @@ def cmd_closed_sets(args, config, reporter):
         return EXIT_FAIL
     t0 = time.perf_counter()
     cs = cf_closed_sets(space, config=config)
-    listing = _sorted_sets(cs.closed_sets, space.universe)
     reporter.add("closed-sets", "pass", timing=time.perf_counter() - t0,
-                 detail=f"count={len(cs)} cross_checked={cs.cross_checked}")
-    stream = sys.stdout
-    for s in listing:
-        stream.write("{" + ",".join(s) + "}\n")
+                 detail=f"count={len(cs)} cross_checked={cs.cross_checked}",
+                 listing=_sorted_sets(cs.closed_sets, space.universe))
     if args.dot:
         Path(args.dot).write_text(docs.closed_sets_dot(cs), encoding="utf-8")
     return EXIT_PASS
@@ -368,15 +370,23 @@ def cmd_gen(args, config, reporter):
 # argument wiring
 # --------------------------------------------------------------------------
 
+def _positive_int(text):
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="roughdom",
         description="validate, construct and check finite approximation-space domains")
-    parser.add_argument("--cap-universe", type=int, default=None)
-    parser.add_argument("--cap-family", type=int, default=None)
-    parser.add_argument("--cap-hom", type=int, default=None)
+    parser.add_argument("--cap-universe", type=_positive_int, default=None)
+    parser.add_argument("--cap-family", type=_positive_int, default=None)
+    parser.add_argument("--cap-hom", type=_positive_int, default=None)
     parser.add_argument("--oracle", action="store_true",
-                        help="evaluate order-theoretic checks by literal enumeration")
+                        help="evaluate order-theoretic checks and CF validation "
+                             "by literal enumeration")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--format", choices=("human", "machine"), default="human")
     sub = parser.add_subparsers(dest="command", required=True)

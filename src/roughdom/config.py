@@ -17,6 +17,8 @@ class RunConfig:
     subsets of a poset.  cap_hom bounds how many morphisms a hom-set
     enumerator may yield, cap_iso the poset size fed to isomorphism
     search.  cap_family bounds family sizes in relation enumeration.
+    oracle makes ``validate_cf`` enumerate every chunk instead of the
+    greatest one, and makes the CLI re-derive way-below literally.
     """
 
     cap_universe: int = 16

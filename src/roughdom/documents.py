@@ -58,6 +58,8 @@ def _pair_list(value, where):
     for item in value:
         if not isinstance(item, list) or len(item) != 2:
             raise ParseFailure(f"{where}: pairs must be 2-element lists")
+        if not all(isinstance(x, str) for x in item):
+            raise ParseFailure(f"{where}: pair atoms must be strings")
         pairs.append((item[0], item[1]))
     return pairs
 

@@ -97,6 +97,9 @@ def induce_cf_from_poset(P, config=None):
     key = (P.elements, P.leq_pairs)
     hit = _INDUCED_MEMO.get(key)
     if hit is not None:
+        # returns the stamped report, or runs the oracle when it is asked
+        # for and the memoized space was validated in the fast form
+        validate_cf(hit.space, config=resolve(config))
         return hit
     relation = [(x, y) for x in P.elements for y in P.elements
                 if way_below(P, x, y)]

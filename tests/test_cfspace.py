@@ -240,7 +240,7 @@ def test_validate_beyond_cap_uses_greatest_chunk():
     assert report.ok and not report.exhaustive
     # same space re-validated exhaustively agrees
     sp2 = CFSpace(GASpace(atoms, [(a, a) for a in atoms]), [[atoms[0]]])
-    full = validate_cf(sp2)
+    full = validate_cf(sp2, oracle=True)
     assert full.ok and full.exhaustive
 
 
@@ -252,14 +252,14 @@ def test_shortcut_validation_agrees_with_exhaustive():
         space = random_cf_space(rng, max_universe=5)
         fresh = CFSpace(space.base, space.family)
         shortcut = validate_cf(fresh, config=RunConfig(cap_universe=1))
-        assert shortcut.ok == validate_cf(space).ok
+        assert shortcut.ok == validate_cf(space, oracle=True).ok
     # a failing space fails both ways
     bad = CFSpace(GASpace(["a", "b", "c"],
                           [("a", "b"), ("b", "c"), ("a", "c"), ("c", "c")]),
                   [["b"]])
     bad2 = CFSpace(bad.base, bad.family)
     assert not validate_cf(bad, config=RunConfig(cap_universe=1)).ok
-    assert not validate_cf(bad2).ok
+    assert not validate_cf(bad2, oracle=True).ok
 
 
 def test_member_uppers_form_a_basis():
@@ -276,3 +276,68 @@ def test_member_uppers_form_a_basis():
             assert below, E
             assert all(any(a | b <= c for c in below) for a in below for b in below)
             assert frozenset().union(*below) == E
+
+
+def random_unfiltered_space(rng, max_universe=6):
+    """A random relation and family with no admissibility filter.
+
+    Unlike ``random_cf_space``, which keeps drawing until a space
+    passes, this keeps whatever it draws, so most spaces fail and the
+    failing members are exercised too.
+    """
+    n = rng.randint(1, max_universe)
+    atoms = [f"u{i}" for i in range(n)]
+    density = rng.choice([0.1, 0.25, 0.4, 0.6])
+    relation = [(a, b) for a in atoms for b in atoms if rng.random() < density]
+    relation = relation or [(rng.choice(atoms), rng.choice(atoms))]
+    family = [[a for a in atoms if rng.random() < 0.35]
+              for _ in range(rng.randint(1, 2 * n))]
+    return CFSpace(GASpace(atoms, relation), family)
+
+
+def test_fast_validation_agrees_with_oracle_on_unfiltered_spaces():
+    rng = seeded_rng(97)
+    failing = 0
+    for _ in range(2000):
+        space = random_unfiltered_space(rng)
+        fast = validate_cf(space)
+        orc = validate_cf(CFSpace(space.base, space.family), oracle=True)
+        assert not fast.exhaustive and fast.checked == len(space.family)
+        assert orc.exhaustive
+        assert (fast.ok, fast.transitive) == (orc.ok, orc.transitive), space
+        assert ({F for F, _ in fast.counterexamples}
+                == {F for F, _ in orc.counterexamples}), space
+        failing += not fast.ok
+    # the generator must exercise both verdicts
+    assert 200 < failing < 1900
+
+
+def test_oracle_validation_is_capped_and_replaces_a_fast_report():
+    from roughdom.config import RunConfig
+    from roughdom.errors import SizeCapExceeded
+
+    atoms = [f"u{i}" for i in range(5)]
+    sp = CFSpace(GASpace(atoms, [(a, a) for a in atoms]), [[atoms[0]], atoms[:2]])
+    with pytest.raises(SizeCapExceeded):
+        validate_cf(sp, oracle=True, config=RunConfig(cap_universe=4))
+    fast = validate_cf(sp)
+    assert fast.checked == 2 and not fast.exhaustive
+    # a cached fast report does not answer an oracle request
+    orc = validate_cf(sp, config=RunConfig(oracle=True))
+    assert orc.exhaustive and orc.checked == 2 + 4
+    # an oracle report does answer a later fast request
+    assert validate_cf(sp) is orc
+
+
+def test_fast_validation_reaches_induced_chain_14():
+    import time
+
+    t0 = time.perf_counter()
+    space = induce_cf_from_poset(chain(14)).space
+    elapsed = time.perf_counter() - t0
+    report = validate_cf(space)  # the stamped report of the induction
+    assert report.ok and not report.exhaustive
+    assert report.checked == len(space.family) == 2 ** 14 - 1
+    # about 0.3 s on a 2-vCPU desk machine; the oracle needs ~12 s
+    # already at n = 12
+    assert elapsed < 5.0, elapsed

@@ -172,3 +172,46 @@ def test_cap_universe_flag_reaches_validation(tmp_path):
     docs.write_document(p, doc)
     assert main(["--cap-universe", "4", "validate", str(p)]) == 0
     assert main(["validate", str(p)]) == 0
+
+
+def test_oracle_flag_reaches_validation(chain3_paths, capsys):
+    _, space_path = chain3_paths
+    space = docs.load_space(space_path)
+
+    def checked(argv):
+        assert main(["--format", "machine", *argv, "validate", str(space_path)]) == 0
+        entry = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        return entry["detail"]
+
+    assert checked([]) == f"checked={len(space.family)} exhaustive=False"
+    chunks = sum(2 ** len(space.upper_of_member(F)) for F in space.family)
+    assert checked(["--oracle"]) == f"checked={chunks} exhaustive=True"
+    # the oracle stays bounded by the universe cap
+    assert main(["--oracle", "--cap-universe", "2", "validate", str(space_path)]) == 1
+
+
+@pytest.mark.parametrize("flag", ["--cap-universe", "--cap-family", "--cap-hom"])
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+def test_cap_flags_reject_non_positive_values(tmp_path, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag, value, "gen", "posets", "--out", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_string_atoms_are_malformed(tmp_path):
+    space = tmp_path / "bad.space.json"
+    docs.write_document(space, {"universe": ["a"], "relation": [[["x"], "a"]],
+                                "family": [["a"]]})
+    poset = tmp_path / "bad.poset.json"
+    docs.write_document(poset, {"elements": ["a"], "leq": [["a", 1]]})
+    assert main(["validate", str(space)]) == 2
+    assert main(["validate", str(poset)]) == 2
+
+
+def test_closed_sets_machine_output_is_json_lines(chain3_paths, capsys):
+    _, space_path = chain3_paths
+    assert main(["--format", "machine", "closed-sets", str(space_path)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    (entry,) = [r for r in records if r["check"] == "closed-sets"]
+    assert entry["listing"] == [["0"], ["0", "1"], ["0", "1", "2"]]

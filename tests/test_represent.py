@@ -37,6 +37,16 @@ def test_induce_chain3(chain3):
     assert ind.top(frozenset({"0", "2"})) == "2"
 
 
+def test_induce_memo_hit_honours_the_oracle():
+    from roughdom.config import RunConfig
+
+    P = FinitePoset(["p", "q"], [("p", "p"), ("q", "q"), ("p", "q")])
+    fast = induce_cf_from_poset(P)
+    assert not validate_cf(fast.space).exhaustive
+    again = induce_cf_from_poset(P, RunConfig(oracle=True))
+    assert again is fast and validate_cf(again.space).exhaustive
+
+
 def test_induce_vee_family():
     ind = induce_cf_from_poset(vee())
     assert set(ind.space.family) == {
