@@ -96,22 +96,26 @@ def approximable_relations_between(ind1, ind2, config=None):
     cfg = resolve(config)
     L1, L2 = ind1.origin, ind2.origin
     n1, n2 = len(L1.elements), len(L2.elements)
-    if n1 * n2 > 16:
-        raise SizeCapExceeded("relation enumeration is exhaustive only at tiny sizes")
+    if n1 * n2 > cfg.cap_cells:
+        raise SizeCapExceeded(
+            f"relation enumeration needs n1*n2 <= cap_cells={cfg.cap_cells}")
     if max(len(ind1.space.family), len(ind2.space.family)) > cfg.cap_family:
         raise SizeCapExceeded(f"family sizes exceed cap_family={cfg.cap_family}")
     if n1 * n2 > 9:
         warnings.warn("enumerating relations beyond 3x3 carriers grows as 2**cells",
                       RuntimeWarning, stacklevel=2)
-    cells = [(x, y) for x in L1.elements for y in L2.elements]
+    s1, s2 = ind1.space, ind2.space
+    # bit of the element pair (top(F_i), top(G_j)) in a candidate mask
+    tops2 = [L2.index(ind2.top(G)) for G in s2.family]
+    cell = [[L1.index(ind1.top(F)) * n2 + y for y in tops2] for F in s1.family]
+    # every element tops its own singleton, so distinct masks give
+    # distinct relations
     out = []
-    for mask in iter_subset_masks(len(cells)):
-        theta = {cells[i] for i in range(len(cells)) if (mask >> i) & 1}
-        pairs = [(F, G)
-                 for F in ind1.space.family for G in ind2.space.family
-                 if (ind1.top(F), ind2.top(G)) in theta]
-        rel = ApproximableRelation(ind1.space, ind2.space, pairs)
-        if validate_approximable(rel).ok and rel not in out:
+    for mask in iter_subset_masks(n1 * n2):
+        ipairs = [(i, j) for i, row in enumerate(cell)
+                  for j, c in enumerate(row) if (mask >> c) & 1]
+        rel = ApproximableRelation._from_indices(s1, s2, ipairs)
+        if validate_approximable(rel).ok:
             out.append(rel)
     if len(out) > cfg.cap_hom:
         raise SizeCapExceeded(f"relation hom-set exceeds cap_hom={cfg.cap_hom}")
@@ -123,9 +127,11 @@ def brute_force_relations(space1, space2, config=None):
 
     Independent cross-check for the lifted enumeration above.
     """
+    cfg = resolve(config)
     cells = [(F, G) for F in space1.family for G in space2.family]
-    if len(cells) > 16:
-        raise SizeCapExceeded("powerset relation scan limited to 2**16 candidates")
+    if len(cells) > cfg.cap_cells:
+        raise SizeCapExceeded(
+            f"powerset relation scan needs at most cap_cells={cfg.cap_cells} cells")
     out = []
     for mask in iter_subset_masks(len(cells)):
         pairs = [cells[i] for i in range(len(cells)) if (mask >> i) & 1]
@@ -168,14 +174,32 @@ def check_functor_laws(functor, objects, morphism_map=None, config=None):
 
     ``functor`` is "phi" (posets to spaces) or "psi" (induced spaces to
     closed-set posets).  ``morphism_map`` overrides the morphism part,
-    which is how the fault-injection tests corrupt a functor.
+    which is how the fault-injection tests corrupt a functor.  Each
+    check calls the morphism part once per distinct morphism and serves
+    repeats, composites included, from a memo keyed by the morphism, so
+    ``morphism_map`` must be a function of the morphism.  Every
+    composite is still built and compared: F(g o h) against F(g) o F(h).
     """
     cfg = resolve(config)
     if functor == "phi":
-        return _phi_laws(tuple(objects), morphism_map or phi_morphism, cfg)
+        return _phi_laws(tuple(objects), _memoized(morphism_map or phi_morphism), cfg)
     if functor == "psi":
-        return _psi_laws(tuple(objects), morphism_map or psi_morphism, cfg)
+        return _psi_laws(tuple(objects), _memoized(morphism_map or psi_morphism), cfg)
     raise ValueError(f"unknown functor {functor!r}")
+
+
+def _memoized(fmap):
+    """``fmap`` behind a lazy memo keyed by the morphism."""
+    image = {}
+
+    def mapped(m):
+        try:
+            return image[m]
+        except KeyError:
+            out = image[m] = fmap(m)
+            return out
+
+    return mapped
 
 
 def _phi_laws(posets, fmap, cfg):
@@ -189,18 +213,16 @@ def _phi_laws(posets, fmap, cfg):
     for A in posets:
         for B in posets:
             hom[(A, B)] = monotone_maps(A, B, cfg)
-    image = {}
     compositions = 0
     composition_ok = True
     for A in posets:
         for B in posets:
             for C in posets:
                 for h in hom[(A, B)]:
-                    fh = image.setdefault(h, fmap(h))
+                    fh = fmap(h)
                     for g in hom[(B, C)]:
-                        fg = image.setdefault(g, fmap(g))
                         compositions += 1
-                        if fmap(compose_maps(g, h)) != compose(fg, fh):
+                        if fmap(compose_maps(g, h)) != compose(fmap(g), fh):
                             composition_ok = False
                             counterexamples.append(("composition", g, h))
     return FunctorLawReport(identity_ok, composition_ok, tuple(counterexamples[:8]),
@@ -219,18 +241,16 @@ def _psi_laws(induced, fmap, cfg):
     for a, A in enumerate(induced):
         for b, B in enumerate(induced):
             hom[(a, b)] = approximable_relations_between(A, B, cfg)
-    image = {}
     compositions = 0
     composition_ok = True
     for a in range(len(induced)):
         for b in range(len(induced)):
             for c in range(len(induced)):
                 for t in hom[(a, b)]:
-                    ft = image.setdefault(t, fmap(t))
+                    ft = fmap(t)
                     for u in hom[(b, c)]:
-                        fu = image.setdefault(u, fmap(u))
                         compositions += 1
-                        if fmap(compose(u, t)) != compose_maps(fu, ft):
+                        if fmap(compose(u, t)) != compose_maps(fmap(u), ft):
                             composition_ok = False
                             counterexamples.append(("composition", u, t))
     return FunctorLawReport(identity_ok, composition_ok, tuple(counterexamples[:8]),

@@ -171,6 +171,13 @@ def validate_cf(space, record_witnesses=False, config=None, oracle=False):
     if oracle and len(space.universe) > cfg.cap_universe:
         raise SizeCapExceeded(
             f"exhaustive validation needs |U| <= {cfg.cap_universe}")
+    report = _check_cf(space, oracle, record_witnesses)
+    space._validation = report
+    return report
+
+
+def _check_cf(space, oracle, record_witnesses):
+    """The re-covering check behind ``validate_cf``; stores nothing."""
     transitive = relation_properties(space.base).transitive
     counterexamples = []
     witnesses = {} if record_witnesses else None
@@ -190,7 +197,7 @@ def validate_cf(space, record_witnesses=False, config=None, oracle=False):
                     (space.family[fi], space.base.subset(k)))
             elif record_witnesses:
                 witnesses[(space.family[fi], space.base.subset(k))] = space.family[hit]
-    report = CFValidationReport(
+    return CFValidationReport(
         ok=transitive and not counterexamples,
         transitive=transitive,
         counterexamples=tuple(counterexamples),
@@ -198,8 +205,6 @@ def validate_cf(space, record_witnesses=False, config=None, oracle=False):
         exhaustive=oracle,
         witnesses=witnesses,
     )
-    space._validation = report
-    return report
 
 
 def require_validated(space):
@@ -369,9 +374,8 @@ def is_topological_cf(space):
     props = relation_properties(space.base)
     if not props.preorder:
         return False
-    # record_witnesses forces a fresh run instead of the cached report
-    report = validate_cf(space, record_witnesses=True)
-    if not report.ok:
+    # a fresh fast check that leaves the stored report as it is
+    if not _check_cf(space, oracle=False, record_witnesses=False).ok:
         raise PostconditionFailed(
             "a preorder space failed the consistency re-check")
     return True

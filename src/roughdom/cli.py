@@ -46,6 +46,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_MALFORMED = 2
 
+# every RunConfig cap, by the name it has in flags and report records
+CAPS = ("universe", "family", "hom", "iso", "oracle", "cells")
+
 THEOREMS = ("rep1", "rep2", "rep3", "rep4", "roundtrip-rel-map",
             "roundtrip-omega", "functor-phi", "functor-psi",
             "equivalence", "self-iso")
@@ -64,9 +67,7 @@ class Reporter:
             "status": status,
             "timing": round(timing, 6),
             "seed": self.config.seed,
-            "caps": {"universe": self.config.cap_universe,
-                     "family": self.config.cap_family,
-                     "hom": self.config.cap_hom},
+            "caps": {name: getattr(self.config, f"cap_{name}") for name in CAPS},
         }
         if counterexample is not None:
             entry["counterexample"] = counterexample
@@ -381,9 +382,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="roughdom",
         description="validate, construct and check finite approximation-space domains")
-    parser.add_argument("--cap-universe", type=_positive_int, default=None)
-    parser.add_argument("--cap-family", type=_positive_int, default=None)
-    parser.add_argument("--cap-hom", type=_positive_int, default=None)
+    for name in CAPS:
+        parser.add_argument(f"--cap-{name}", type=_positive_int, default=None)
     parser.add_argument("--oracle", action="store_true",
                         help="evaluate order-theoretic checks and CF validation "
                              "by literal enumeration")
@@ -415,13 +415,8 @@ def build_parser():
 
 def _config_from_args(args):
     cfg = RunConfig()
-    updates = {}
-    if args.cap_universe is not None:
-        updates["cap_universe"] = args.cap_universe
-    if args.cap_family is not None:
-        updates["cap_family"] = args.cap_family
-    if args.cap_hom is not None:
-        updates["cap_hom"] = args.cap_hom
+    updates = {f"cap_{name}": getattr(args, f"cap_{name}") for name in CAPS
+               if getattr(args, f"cap_{name}") is not None}
     if args.oracle:
         updates["oracle"] = True
     if args.seed is not None:

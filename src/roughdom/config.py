@@ -16,7 +16,9 @@ class RunConfig:
     universe (2**n work).  cap_oracle bounds enumeration of directed
     subsets of a poset.  cap_hom bounds how many morphisms a hom-set
     enumerator may yield, cap_iso the poset size fed to isomorphism
-    search.  cap_family bounds family sizes in relation enumeration.
+    search.  cap_family bounds family sizes in relation enumeration,
+    cap_cells the cells (pairs of elements or of family members) a
+    relation enumeration scans all subsets of.
     oracle makes ``validate_cf`` enumerate every chunk instead of the
     greatest one, and makes the CLI re-derive way-below literally.
     """
@@ -26,11 +28,13 @@ class RunConfig:
     cap_hom: int = 20000
     cap_iso: int = 12
     cap_oracle: int = 12
+    cap_cells: int = 16
     oracle: bool = False
     seed: int | None = None
 
     def __post_init__(self):
-        for name in ("cap_universe", "cap_family", "cap_hom", "cap_iso", "cap_oracle"):
+        for name in ("cap_universe", "cap_family", "cap_hom", "cap_iso", "cap_oracle",
+                     "cap_cells"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

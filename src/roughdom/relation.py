@@ -29,27 +29,46 @@ class ApproximableRelation:
     """A set of (F, G) pairs between the families of two CF spaces.
 
     Stored extensionally so equality stays structural and decidable;
-    validation runs on demand and is memoized per content.
+    validation runs on demand and is memoized per content.  Alongside
+    ``pairs`` the relation keeps its (i, j) family-index pairs
+    (``_ipairs``) and the targets of each source index (``_rows``).
     """
 
     __slots__ = ("source", "target", "pairs", "_ipairs", "_rows", "_validation",
                  "_hash")
 
     def __init__(self, source, target, pairs):
+        findex, gindex = source._findex, target._findex
         ip = set()
-        norm = set()
         for F, G in pairs:
             F, G = frozenset(F), frozenset(G)
-            if F not in source._findex:
+            if F not in findex:
                 raise InvalidRelation(f"{set(F)!r} is not in the source family")
-            if G not in target._findex:
+            if G not in gindex:
                 raise InvalidRelation(f"{set(G)!r} is not in the target family")
-            norm.add((F, G))
-            ip.add((source._findex[F], target._findex[G]))
+            ip.add((findex[F], gindex[G]))
+        self._fill(source, target, ip)
+
+    @classmethod
+    def _from_indices(cls, source, target, ipairs):
+        """The relation on (i, j) pairs of source and target family indices.
+
+        For internal builders whose indices are valid by construction:
+        nothing is normalized or checked.
+        """
+        rel = cls.__new__(cls)
+        rel._fill(source, target, ipairs)
+        return rel
+
+    def _fill(self, source, target, ipairs):
+        # frozensets copied from sets get compact tables; built from other
+        # iterables they keep up to twice the room, and relations are many
+        ip = frozenset(set(ipairs))
+        fam1, fam2 = source.family, target.family
         self.source = source
         self.target = target
-        self.pairs = frozenset(norm)
-        self._ipairs = frozenset(ip)
+        self.pairs = frozenset({(fam1[i], fam2[j]) for i, j in ip})
+        self._ipairs = ip
         rows = {}
         for i, j in sorted(ip):
             rows.setdefault(i, []).append(j)
@@ -60,6 +79,8 @@ class ApproximableRelation:
     def __eq__(self, other):
         if not isinstance(other, ApproximableRelation):
             return NotImplemented
+        if self.source is other.source and self.target is other.target:
+            return self._ipairs == other._ipairs
         return (self.source == other.source and self.target == other.target
                 and self.pairs == other.pairs)
 
@@ -182,13 +203,10 @@ def require_relation_validated(rel):
 def identity_relation(space):
     """Pairs (F, G) with G inside the upper approximation of F."""
     require_validated(space)
-    pairs = []
-    for i, F in enumerate(space.family):
-        rf = space._rmasks[i]
-        for j, G in enumerate(space.family):
-            if space._fmasks[j] & ~rf == 0:
-                pairs.append((F, G))
-    return ApproximableRelation(space, space, pairs)
+    fmasks = space._fmasks
+    ipairs = [(i, j) for i, rf in enumerate(space._rmasks)
+              for j, gm in enumerate(fmasks) if gm & ~rf == 0]
+    return ApproximableRelation._from_indices(space, space, ipairs)
 
 
 def compose(second, first):
@@ -199,19 +217,21 @@ def compose(second, first):
     valid relations, so a failure there means a bug.  Invalid inputs
     compose structurally without the guarantee.
     """
-    if first.target != second.source:
-        raise SpaceMismatch("inner spaces differ; relations do not compose")
     mid_rows = second._rows
-    pairs = []
-    fam1, fam3 = first.source.family, second.target.family
+    if first.target is not second.source:
+        if first.target != second.source:
+            raise SpaceMismatch("inner spaces differ; relations do not compose")
+        # an equal space may list its family in another order
+        findex = second.source._findex
+        mid_rows = {j: mid_rows.get(findex[G], ())
+                    for j, G in enumerate(first.target.family)}
+    ipairs = []
     for i, js in first._rows.items():
         seen = set()
         for j in js:
-            for k in mid_rows.get(j, ()):
-                seen.add(k)
-        for k in sorted(seen):
-            pairs.append((fam1[i], fam3[k]))
-    out = ApproximableRelation(first.source, second.target, pairs)
+            seen.update(mid_rows.get(j, ()))
+        ipairs += [(i, k) for k in seen]
+    out = ApproximableRelation._from_indices(first.source, second.target, ipairs)
     if validate_approximable(first).ok and validate_approximable(second).ok:
         rep = validate_approximable(out)
         if not rep.ok:
@@ -299,14 +319,12 @@ def from_map(f, source_space, target_space, config=None):
         raise SpaceMismatch("map does not run between the stated closed-set posets")
     if not is_scott_continuous(f):
         raise MapNotContinuous("map fails the directed-supremum check")
-    pairs = []
-    for i, F in enumerate(source_space.family):
-        image = f(source_space.base.subset(source_space._rmasks[i]))
-        imask = target_space.base.mask(image)
-        for j, G in enumerate(target_space.family):
-            if target_space._fmasks[j] & ~imask == 0:
-                pairs.append((F, G))
-    rel = ApproximableRelation(source_space, target_space, pairs)
+    fmasks = target_space._fmasks
+    ipairs = []
+    for i, rf in enumerate(source_space._rmasks):
+        imask = target_space.base.mask(f(source_space.base.subset(rf)))
+        ipairs += [(i, j) for j, gm in enumerate(fmasks) if gm & ~imask == 0]
+    rel = ApproximableRelation._from_indices(source_space, target_space, ipairs)
     rep = validate_approximable(rel)
     if not rep.ok:
         raise PostconditionFailed(

@@ -163,3 +163,45 @@ def test_composite_functor_returns_isomorphic_poset(posets_to_4):
         for P in posets:
             back = psi_object(phi_object(P)).poset
             assert order_isomorphism(P, back) is not None
+
+
+def counting(fmap):
+    """``fmap`` plus the list of morphisms it was called on."""
+    calls = []
+
+    def mapped(m):
+        calls.append(m)
+        return fmap(m)
+
+    return mapped, calls
+
+
+def test_functor_laws_map_each_morphism_once(posets_to_4):
+    posets = [P for size in (1, 2, 3) for P in posets_to_4[size]]
+    induced = [induce_cf_from_poset(P) for P in posets]
+    homs = {
+        "phi": (posets, phi_morphism, monotone_maps),
+        "psi": (induced, psi_morphism, approximable_relations_between),
+    }
+    for functor, (objects, fmap, hom) in homs.items():
+        mapped, calls = counting(fmap)
+        report = check_functor_laws(functor, objects, morphism_map=mapped)
+        assert report.ok, functor
+        assert report.compositions_checked == 30228
+        # identities and composites are served from the enumerated hom-sets
+        distinct = sum(len(hom(A, B)) for A in objects for B in objects)
+        assert distinct == 476
+        assert len(calls) == len(set(calls)) == distinct, functor
+
+
+def test_relation_enumerations_are_bounded_by_cap_cells(chain2):
+    from roughdom.config import RunConfig
+    from roughdom.errors import SizeCapExceeded
+
+    ind = induce_cf_from_poset(chain2)  # 2 elements, 3 family members
+    tight = RunConfig(cap_cells=8)
+    assert len(approximable_relations_between(ind, ind, tight)) == 3
+    with pytest.raises(SizeCapExceeded):
+        brute_force_relations(ind.space, ind.space, tight)  # 9 cells
+    with pytest.raises(SizeCapExceeded):
+        approximable_relations_between(ind, ind, RunConfig(cap_cells=3))

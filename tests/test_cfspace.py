@@ -341,3 +341,13 @@ def test_fast_validation_reaches_induced_chain_14():
     # about 0.3 s on a 2-vCPU desk machine; the oracle needs ~12 s
     # already at n = 12
     assert elapsed < 5.0, elapsed
+
+
+def test_topological_recheck_keeps_the_stored_oracle_report():
+    space = induce_cf_from_poset(chain(4)).space
+    orc = validate_cf(space, oracle=True)
+    assert orc.exhaustive
+    assert is_topological_cf(space)
+    report = validate_cf(space)
+    assert report is orc
+    assert report.exhaustive and report.witnesses is None

@@ -18,7 +18,7 @@ from roughdom.relation import (
     validate_approximable,
     validate_topological_approximable,
 )
-from roughdom.represent import induce_cf_from_poset
+from roughdom.represent import induce_cf_from_poset, omega_from_map
 
 
 @pytest.fixture
@@ -272,3 +272,43 @@ def test_union_family_directed_for_all_enumerated_relations(chain2, chain3):
                 assert family  # the first axiom plus closedness of E
                 assert all(any(a | b <= c for c in family)
                            for a in family for b in family)
+
+
+def test_index_constructor_agrees_with_public_constructor(posets_to_4):
+    rng = seeded_rng(83)
+    flat = [P for size in (1, 2, 3) for P in posets_to_4[size]]
+    verdicts = set()
+    for _ in range(60):
+        src, tgt = (induce_cf_from_poset(rng.choice(flat)) for _ in range(2))
+        n1, n2 = len(src.space.family), len(tgt.space.family)
+        if rng.random() < 0.5:
+            # valid: the relation of a random continuous map
+            g = random_monotone_map(rng, src.origin, tgt.origin)
+            ipairs = omega_from_map(g)._ipairs
+        else:
+            # mostly invalid: random index pairs
+            ipairs = {(rng.randrange(n1), rng.randrange(n2))
+                      for _ in range(rng.randrange(n1 * n2 + 1))}
+        fast = ApproximableRelation._from_indices(src.space, tgt.space, ipairs)
+        public = ApproximableRelation(
+            src.space, tgt.space,
+            [(src.space.family[i], tgt.space.family[j]) for i, j in ipairs])
+        assert fast.pairs == public.pairs
+        assert fast._ipairs == public._ipairs
+        assert fast._rows == public._rows
+        assert fast == public and hash(fast) == hash(public)
+        verdicts.add(validate_approximable(fast).ok)
+    assert verdicts == {True, False}
+
+
+def test_equality_across_reordered_equal_spaces(chain3_space):
+    flipped = CFSpace(chain3_space.base, tuple(reversed(chain3_space.family)))
+    validate_cf(flipped)
+    assert flipped == chain3_space and flipped is not chain3_space
+    ident, flipped_ident = identity_relation(chain3_space), identity_relation(flipped)
+    # same content, different family indices
+    assert ident._ipairs != flipped_ident._ipairs
+    assert ident == flipped_ident and hash(ident) == hash(flipped_ident)
+    # composing through the reordered middle space matches its members by content
+    assert compose(flipped_ident, ident) == ident
+    assert compose(ident, flipped_ident) == ident
