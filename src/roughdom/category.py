@@ -9,6 +9,7 @@ finite objects, not proofs: the language of the API reflects that.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -182,24 +183,10 @@ def check_functor_laws(functor, objects, morphism_map=None, config=None):
     """
     cfg = resolve(config)
     if functor == "phi":
-        return _phi_laws(tuple(objects), _memoized(morphism_map or phi_morphism), cfg)
+        return _phi_laws(tuple(objects), functools.cache(morphism_map or phi_morphism), cfg)
     if functor == "psi":
-        return _psi_laws(tuple(objects), _memoized(morphism_map or psi_morphism), cfg)
+        return _psi_laws(tuple(objects), functools.cache(morphism_map or psi_morphism), cfg)
     raise ValueError(f"unknown functor {functor!r}")
-
-
-def _memoized(fmap):
-    """``fmap`` behind a lazy memo keyed by the morphism."""
-    image = {}
-
-    def mapped(m):
-        try:
-            return image[m]
-        except KeyError:
-            out = image[m] = fmap(m)
-            return out
-
-    return mapped
 
 
 def _phi_laws(posets, fmap, cfg):

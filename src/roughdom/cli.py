@@ -46,8 +46,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_MALFORMED = 2
 
-# every RunConfig cap, by the name it has in flags and report records
-CAPS = ("universe", "family", "hom", "iso", "oracle", "cells")
+# the RunConfig caps that have a --cap-* flag
+CAP_FLAGS = ("universe", "family", "hom", "iso", "oracle")
+# every RunConfig cap, by the name it has in report records
+CAPS = CAP_FLAGS + ("cells",)
 
 THEOREMS = ("rep1", "rep2", "rep3", "rep4", "roundtrip-rel-map",
             "roundtrip-omega", "functor-phi", "functor-psi",
@@ -382,7 +384,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="roughdom",
         description="validate, construct and check finite approximation-space domains")
-    for name in CAPS:
+    for name in CAP_FLAGS:
         parser.add_argument(f"--cap-{name}", type=_positive_int, default=None)
     parser.add_argument("--oracle", action="store_true",
                         help="evaluate order-theoretic checks and CF validation "
@@ -415,7 +417,7 @@ def build_parser():
 
 def _config_from_args(args):
     cfg = RunConfig()
-    updates = {f"cap_{name}": getattr(args, f"cap_{name}") for name in CAPS
+    updates = {f"cap_{name}": getattr(args, f"cap_{name}") for name in CAP_FLAGS
                if getattr(args, f"cap_{name}") is not None}
     if args.oracle:
         updates["oracle"] = True

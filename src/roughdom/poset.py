@@ -117,8 +117,6 @@ class FinitePoset:
     def __eq__(self, other):
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        if self is other:
-            return True
         return (frozenset(self.elements) == frozenset(other.elements)
                 and self.leq_pairs == other.leq_pairs)
 

@@ -170,14 +170,12 @@ def omega_from_map(g, config=None):
         raise MapNotContinuous("map fails the directed-supremum check")
     src = induce_cf_from_poset(g.source, config)
     tgt = induce_cf_from_poset(g.target, config)
-    tgt_tops = [tgt.top(G) for G in tgt.space.family]
-    below = {}  # image value -> indices of target members whose top is way below it
     ipairs = []
     for i, F in enumerate(src.space.family):
         gc = g(src.top(F))
-        if gc not in below:
-            below[gc] = [j for j, t in enumerate(tgt_tops) if way_below(g.target, t, gc)]
-        ipairs += [(i, j) for j in below[gc]]
+        for j, G in enumerate(tgt.space.family):
+            if way_below(g.target, tgt.top(G), gc):
+                ipairs.append((i, j))
     rel = ApproximableRelation._from_indices(src.space, tgt.space, ipairs)
     rep = validate_approximable(rel)
     if not rep.ok:

@@ -191,7 +191,7 @@ def test_oracle_flag_reaches_validation(chain3_paths, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--cap-universe", "--cap-family", "--cap-hom",
-                                  "--cap-iso", "--cap-oracle", "--cap-cells"])
+                                  "--cap-iso", "--cap-oracle"])
 @pytest.mark.parametrize("value", ["0", "-3", "many"])
 def test_cap_flags_reject_non_positive_values(tmp_path, flag, value, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -221,14 +221,7 @@ def test_closed_sets_machine_output_is_json_lines(chain3_paths, capsys):
 def test_machine_record_names_every_cap(chain3_paths, capsys):
     _, space_path = chain3_paths
     assert main(["--format", "machine", "--cap-iso", "5", "--cap-oracle", "7",
-                 "--cap-cells", "9", "validate", str(space_path)]) == 0
+                 "validate", str(space_path)]) == 0
     entry = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert entry["caps"] == {"universe": 16, "family": 64, "hom": 20000,
-                             "iso": 5, "oracle": 7, "cells": 9}
-
-
-def test_cap_cells_flag_reaches_relation_enumeration(tmp_path, chain2):
-    p2 = tmp_path / "c2.poset.json"
-    docs.write_document(p2, docs.poset_to_doc(chain2))
-    assert main(["--cap-cells", "4", "check", "functor-psi", str(p2)]) == 0
-    assert main(["--cap-cells", "3", "check", "functor-psi", str(p2)]) == 1
+                             "iso": 5, "oracle": 7, "cells": 16}
