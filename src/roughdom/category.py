@@ -1,9 +1,12 @@
 """Functor-law checks and finite equivalence evidence.
 
-Two functors are exercised at desk scale: one sends posets to their
-induced spaces and Scott-continuous maps to induced relations, the
-other sends topological spaces to their closed-set posets and relations
-to induced maps.  The reports here are evidence over the supplied
+Two functors are exercised at desk scale: phi sends posets to their
+induced spaces and Scott-continuous maps to induced relations, psi
+sends induced spaces to their closed-set posets and relations to
+induced maps.  Each functor is described once, as a source and a
+target ``ConcreteCategoryInstance`` (objects, hom-sets, identities,
+composition) plus a morphism part; one law checker and one equivalence
+checker serve both.  The reports here are evidence over the supplied
 finite objects, not proofs: the language of the API reflects that.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
+from itertools import product
 
 from .config import resolve
 from .cfspace import cf_closed_sets, is_topological_cf
@@ -38,10 +42,12 @@ from .ordering import iter_subset_masks
 
 @dataclass(frozen=True)
 class ConcreteCategoryInstance:
-    """A finite slice of a category: objects plus a hom-set enumerator."""
+    """A finite slice of a category: objects, hom-sets, identities, composition."""
 
     objects: tuple
     hom: object = field(compare=False)  # callable (A, B) -> tuple of morphisms
+    identity: object = field(compare=False)  # callable A -> identity morphism
+    compose: object = field(compare=False)  # callable (g, h) -> g after h
 
 
 def poset_category(posets, config=None):
@@ -49,7 +55,9 @@ def poset_category(posets, config=None):
     cfg = resolve(config)
     return ConcreteCategoryInstance(
         objects=tuple(posets),
-        hom=lambda A, B: monotone_maps(A, B, cfg))
+        hom=lambda A, B: monotone_maps(A, B, cfg),
+        identity=identity_map,
+        compose=compose_maps)
 
 
 def space_category(induced, config=None):
@@ -57,7 +65,9 @@ def space_category(induced, config=None):
     cfg = resolve(config)
     return ConcreteCategoryInstance(
         objects=tuple(induced),
-        hom=lambda A, B: approximable_relations_between(A, B, cfg))
+        hom=lambda A, B: approximable_relations_between(A, B, cfg),
+        identity=lambda ind: identity_relation(ind.space),
+        compose=compose)
 
 
 def phi_object(P, config=None):
@@ -170,6 +180,23 @@ class FunctorLawReport:
         return self.identity_ok and self.composition_ok
 
 
+def _functor(functor, objects, cfg):
+    """Source and target instances; ``tgt.objects[i]`` is the object part
+    of the functor applied to ``src.objects[i]``."""
+    if functor == "phi":
+        src = poset_category(objects, cfg)
+        return src, space_category(
+            [induce_cf_from_poset(L, cfg) for L in src.objects], cfg)
+    if functor == "psi":
+        src = space_category(objects, cfg)
+        return src, poset_category(
+            [cf_closed_sets(ind.space).poset for ind in src.objects], cfg)
+    raise ValueError(f"unknown functor {functor!r}")
+
+
+_MORPHISM_PART = {"phi": phi_morphism, "psi": psi_morphism}
+
+
 def check_functor_laws(functor, objects, morphism_map=None, config=None):
     """Identity and composition laws over all enumerated morphism pairs.
 
@@ -182,66 +209,27 @@ def check_functor_laws(functor, objects, morphism_map=None, config=None):
     composite is still built and compared: F(g o h) against F(g) o F(h).
     """
     cfg = resolve(config)
-    if functor == "phi":
-        return _phi_laws(tuple(objects), functools.cache(morphism_map or phi_morphism), cfg)
-    if functor == "psi":
-        return _psi_laws(tuple(objects), functools.cache(morphism_map or psi_morphism), cfg)
-    raise ValueError(f"unknown functor {functor!r}")
-
-
-def _phi_laws(posets, fmap, cfg):
+    src, tgt = _functor(functor, objects, cfg)
+    fmap = functools.cache(morphism_map or _MORPHISM_PART[functor])
     counterexamples = []
     identity_ok = True
-    for L in posets:
-        if fmap(identity_map(L)) != identity_relation(phi_object(L, cfg)):
+    for A, FA in zip(src.objects, tgt.objects):
+        if fmap(src.identity(A)) != tgt.identity(FA):
             identity_ok = False
-            counterexamples.append(("identity", L))
-    hom = {}
-    for A in posets:
-        for B in posets:
-            hom[(A, B)] = monotone_maps(A, B, cfg)
+            counterexamples.append(("identity", A))
+    hom = [[src.hom(A, B) for B in src.objects] for A in src.objects]
     compositions = 0
     composition_ok = True
-    for A in posets:
-        for B in posets:
-            for C in posets:
-                for h in hom[(A, B)]:
-                    fh = fmap(h)
-                    for g in hom[(B, C)]:
-                        compositions += 1
-                        if fmap(compose_maps(g, h)) != compose(fmap(g), fh):
-                            composition_ok = False
-                            counterexamples.append(("composition", g, h))
+    for a, b, c in product(range(len(hom)), repeat=3):
+        for h in hom[a][b]:
+            fh = fmap(h)
+            for g in hom[b][c]:
+                compositions += 1
+                if fmap(src.compose(g, h)) != tgt.compose(fmap(g), fh):
+                    composition_ok = False
+                    counterexamples.append(("composition", g, h))
     return FunctorLawReport(identity_ok, composition_ok, tuple(counterexamples[:8]),
-                            len(posets), compositions)
-
-
-def _psi_laws(induced, fmap, cfg):
-    counterexamples = []
-    identity_ok = True
-    for ind in induced:
-        ident = identity_relation(ind.space)
-        if fmap(ident) != identity_map(cf_closed_sets(ind.space).poset):
-            identity_ok = False
-            counterexamples.append(("identity", ind))
-    hom = {}
-    for a, A in enumerate(induced):
-        for b, B in enumerate(induced):
-            hom[(a, b)] = approximable_relations_between(A, B, cfg)
-    compositions = 0
-    composition_ok = True
-    for a in range(len(induced)):
-        for b in range(len(induced)):
-            for c in range(len(induced)):
-                for t in hom[(a, b)]:
-                    ft = fmap(t)
-                    for u in hom[(b, c)]:
-                        compositions += 1
-                        if fmap(compose(u, t)) != compose_maps(fmap(u), ft):
-                            composition_ok = False
-                            counterexamples.append(("composition", u, t))
-    return FunctorLawReport(identity_ok, composition_ok, tuple(counterexamples[:8]),
-                            len(induced), compositions)
+                            len(hom), compositions)
 
 
 # --------------------------------------------------------------------------
@@ -295,78 +283,42 @@ def check_equivalence_evidence(functor, objects, morphism_map=None,
     object.  The report speaks only about the supplied objects.
     """
     cfg = resolve(config)
-    if functor == "phi":
-        return _phi_equivalence(tuple(objects), morphism_map or phi_morphism,
-                                variant, cfg)
-    if functor == "psi":
-        return _psi_equivalence(tuple(objects), morphism_map or psi_morphism,
-                                variant, cfg)
-    raise ValueError(f"unknown functor {functor!r}")
-
-
-def _phi_equivalence(posets, fmap, variant, cfg):
+    src, tgt = _functor(functor, objects, cfg)
+    fmap = morphism_map or _MORPHISM_PART[functor]
+    phi = functor == "phi"
     counterexamples = []
-    induced = tuple(induce_cf_from_poset(L, cfg) for L in posets)
-    admitted, findings = _qualify(induced, variant, cfg)
+    admitted, findings = _qualify(tgt.objects if phi else src.objects, variant, cfg)
     full = True
     faithful = True
     sizes = []
-    for A, iA in zip(posets, induced):
-        for B, iB in zip(posets, induced):
-            maps = monotone_maps(A, B, cfg)
-            rels = approximable_relations_between(iA, iB, cfg)
-            sizes.append((len(maps), len(rels)))
+    for A, FA in zip(src.objects, tgt.objects):
+        for B, FB in zip(src.objects, tgt.objects):
+            sources = src.hom(A, B)
+            targets = tgt.hom(FA, FB)
+            sizes.append((len(sources), len(targets)))
             images = {}
-            for g in maps:
-                fg = fmap(g)
-                if fg in images:
+            for m in sources:
+                fm = fmap(m)
+                if fm in images:
                     faithful = False
-                    counterexamples.append(("faithful", images[fg], g))
-                images[fg] = g
-            for rel in rels:
-                g = map_from_omega(rel, cfg)
-                if fmap(g) != rel:
+                    counterexamples.append(("faithful", images[fm], m))
+                images[fm] = m
+            for t in targets:
+                m = (map_from_omega(t, cfg) if phi
+                     else from_map(t, A.space, B.space, cfg))
+                if fmap(m) != t:
                     full = False
-                    counterexamples.append(("full", rel))
+                    counterexamples.append(("full", t))
     surj = True
     for ind in admitted:
-        try:
-            space_self_iso(ind.space, config=cfg)
-        except Exception as exc:  # evidence report, not a crash
-            surj = False
-            counterexamples.append(("essential_surjectivity", ind, repr(exc)))
-    return EquivalenceReport(full, faithful, surj, tuple(sizes),
-                             tuple(counterexamples[:8]), findings)
-
-
-def _psi_equivalence(induced, fmap, variant, cfg):
-    counterexamples = []
-    admitted, findings = _qualify(tuple(induced), variant, cfg)
-    full = True
-    faithful = True
-    sizes = []
-    for A in induced:
-        for B in induced:
-            rels = approximable_relations_between(A, B, cfg)
-            maps = monotone_maps(cf_closed_sets(A.space).poset,
-                                 cf_closed_sets(B.space).poset, cfg)
-            sizes.append((len(rels), len(maps)))
-            images = {}
-            for rel in rels:
-                f = fmap(rel)
-                if f in images:
-                    faithful = False
-                    counterexamples.append(("faithful", images[f], rel))
-                images[f] = rel
-            for f in maps:
-                rel = from_map(f, A.space, B.space, cfg)
-                if fmap(rel) != f:
-                    full = False
-                    counterexamples.append(("full", f))
-    surj = True
-    for ind in admitted:
-        cs = cf_closed_sets(ind.space, config=cfg)
-        if order_isomorphism(ind.origin, cs.poset, cfg) is None:
+        if phi:
+            try:
+                space_self_iso(ind.space, config=cfg)
+            except Exception as exc:  # evidence report, not a crash
+                surj = False
+                counterexamples.append(("essential_surjectivity", ind, repr(exc)))
+        elif order_isomorphism(ind.origin, cf_closed_sets(ind.space, config=cfg).poset,
+                               cfg) is None:
             surj = False
             counterexamples.append(("essential_surjectivity", ind))
     return EquivalenceReport(full, faithful, surj, tuple(sizes),

@@ -266,9 +266,11 @@ def cmd_check(args, config, reporter):
         if len(args.inputs) != 1:
             raise ArityMismatch("roundtrip-rel-map takes one relation document")
         rel = docs.load_relation(args.inputs[0])
-        for side in (rel.source, rel.target):
-            if not validate_cf(side, config=config).ok:
-                raise ParseFailure("relation endpoints fail admissibility")
+        if not all(validate_cf(side, config=config).ok
+                   for side in (rel.source, rel.target)):
+            reporter.add(name, "fail", timing=time.perf_counter() - t0,
+                         detail="relation endpoints fail admissibility")
+            return EXIT_FAIL
         f = to_map(rel, config)
         ok = from_map(f, rel.source, rel.target, config) == rel
     elif name == "roundtrip-omega":

@@ -30,10 +30,14 @@ def _read_json(path):
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IOFailure(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or a NUL byte in the path
+        raise ParseFailure(f"cannot decode {str(path)!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseFailure(f"{path} nests too deeply") from exc
 
 
 def _expect(doc, key, kind, where):

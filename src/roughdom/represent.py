@@ -122,14 +122,15 @@ def induce_topcf_from_algebraic(P, config=None):
     """
     if len(P.elements) == 0:
         raise EmptyPoset("cannot induce a space from the empty poset")
-    if not is_algebraic_domain(P, oracle=False):
+    cfg = resolve(config)
+    if not is_algebraic_domain(P, oracle=False, config=cfg):
         raise PreconditionViolated("poset is not algebraic")
     K = compacts(P)
     carrier = tuple(x for x in P.elements if x in K)
     relation = [(x, y) for x in carrier for y in carrier if P.leq(x, y)]
     family, tops = _topped_family(P, set(carrier))
     space = CFSpace(GASpace(carrier, relation), family)
-    report = validate_cf(space, config=resolve(config))
+    report = validate_cf(space, config=cfg)
     if not report.ok:
         raise PostconditionFailed("induced topological space failed admissibility")
     return InducedSpace(origin=P, space=space, top_of=tops)

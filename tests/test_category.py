@@ -154,6 +154,15 @@ def test_concrete_category_instances(small_objects):
     for P, ind in zip(small_objects, induced):
         assert identity_map(P) in cat.hom(P, P)
         assert identity_relation(ind.space) in spaces.hom(ind, ind)
+    # each instance's own identity is in hom(A, A) and is a unit for its
+    # own composition on both sides
+    for inst in (cat, spaces):
+        for A in inst.objects:
+            assert inst.identity(A) in inst.hom(A, A)
+            for B in inst.objects:
+                for m in inst.hom(A, B):
+                    assert inst.compose(m, inst.identity(A)) == m
+                    assert inst.compose(inst.identity(B), m) == m
 
 
 def test_composite_functor_returns_isomorphic_poset(posets_to_4):

@@ -94,6 +94,30 @@ def test_check_roundtrip_rel_map(tmp_path, chain2):
     assert main(["check", "roundtrip-rel-map", str(rel_path)]) == 0
 
 
+def test_check_roundtrip_rel_map_on_inadmissible_space_fails(tmp_path):
+    bad = CFSpace(
+        GASpace(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c"), ("c", "c")]),
+        [["b"]])
+    rel_path = tmp_path / "bad.rel.json"
+    docs.write_document(rel_path, {"source": docs.space_to_doc(bad),
+                                   "target": docs.space_to_doc(bad), "pairs": []})
+    assert main(["validate", str(rel_path)]) == 1
+    assert main(["check", "roundtrip-rel-map", str(rel_path)]) == 1
+
+
+@pytest.mark.parametrize("name, content", [
+    ("x.poset.json", b"\xff\xfe{}"),
+    ("x.poset.json", b"[" * 100000 + b"]" * 100000),
+    ("x.rel.json", b'{"source": "\\u0000", "target": "\\u0000", "pairs": []}'),
+], ids=["not-utf8", "deeply-nested", "nul-byte-space-path"])
+def test_undecodable_documents_are_malformed(tmp_path, name, content, capsys):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 2
+    assert main(["check", "rep1", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_check_errors(chain3_paths):
     poset_path, _ = chain3_paths
     assert main(["check", "no-such-theorem", str(poset_path)]) == 2

@@ -2,9 +2,10 @@
 
 import pytest
 
-from conftest import chain, vee
+from conftest import antichain, chain, vee
 from roughdom.cfspace import CFSpace, validate_cf
 from roughdom.corpus import random_monotone_map, seeded_rng
+from roughdom.config import RunConfig
 from roughdom.errors import EmptyPoset, WitnessInvalid
 from roughdom.gaspace import GASpace
 from roughdom.poset import (
@@ -71,6 +72,15 @@ def test_topcf_coincides_with_cf(zoo):
         a = induce_cf_from_poset(P).space
         b = induce_topcf_from_algebraic(P).space
         assert a == b
+
+
+def test_topcf_honours_the_oracle_cap():
+    # the algebraicity premise enumerates directed subsets, bounded by
+    # the caller's cap_oracle rather than the default 12
+    P = antichain(13)
+    cfg = RunConfig(cap_oracle=14)
+    assert (induce_topcf_from_algebraic(P, cfg).space
+            == induce_cf_from_poset(P, cfg).space)
 
 
 def test_closed_sets_iso_examples(chain3):
