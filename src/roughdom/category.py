@@ -13,7 +13,6 @@ finite objects, not proofs: the language of the API reflects that.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -23,6 +22,7 @@ from .errors import SizeCapExceeded
 from .poset import monotone_maps, identity_map, compose_maps, order_isomorphism
 from .relation import (
     ApproximableRelation,
+    _absorption,
     compose,
     from_map,
     identity_relation,
@@ -98,36 +98,47 @@ def psi_morphism(rel, config=None):
 def approximable_relations_between(ind1, ind2, config=None):
     """Every validated relation between two induced spaces.
 
-    Relations between induced spaces are determined by their action on
-    singleton members (the absorption axioms collapse each member to
-    its top), so candidates are lifted from element-level relations and
-    run through the full validator.  ``element_determined`` re-checks
-    that collapse on every survivor.
+    Axioms (2) and (3) make a valid relation an up-set of the preorder
+    on family-index cells in which (i, j) forces (i2, j2) when F_i lies
+    inside upper(F_i2) and G_j2 inside upper(G_j).  The search decides
+    the lowest undecided cell both ways (in: add every cell it forces;
+    out: drop every cell that forces it), so every valid relation is
+    reached, and each leaf runs through the full validator.
     """
     cfg = resolve(config)
-    L1, L2 = ind1.origin, ind2.origin
-    n1, n2 = len(L1.elements), len(L2.elements)
+    n1, n2 = len(ind1.origin.elements), len(ind2.origin.elements)
     if n1 * n2 > cfg.cap_cells:
         raise SizeCapExceeded(
             f"relation enumeration needs n1*n2 <= cap_cells={cfg.cap_cells}")
     if max(len(ind1.space.family), len(ind2.space.family)) > cfg.cap_family:
         raise SizeCapExceeded(f"family sizes exceed cap_family={cfg.cap_family}")
-    if n1 * n2 > 9:
-        warnings.warn("enumerating relations beyond 3x3 carriers grows as 2**cells",
-                      RuntimeWarning, stacklevel=2)
     s1, s2 = ind1.space, ind2.space
-    # bit of the element pair (top(F_i), top(G_j)) in a candidate mask
-    tops2 = [L2.index(ind2.top(G)) for G in s2.family]
-    cell = [[L1.index(ind1.top(F)) * n2 + y for y in tops2] for F in s1.family]
-    # every element tops its own singleton, so distinct masks give
-    # distinct relations
+    ups, downs = _absorption(s1, s2)
+    m = len(s2.family)
+    cells = range(len(s1.family) * m)
+    # bit masks over cells c = i*m + j, each cell counted as forcing itself
+    forced = [1 << c for c in cells]
+    forcers = [1 << c for c in cells]
+    for c in cells:
+        for d in (i2 * m + j2 for i2 in ups[c // m] for j2 in downs[c % m]):
+            forced[c] |= 1 << d
+            forcers[d] |= 1 << c
     out = []
-    for mask in iter_subset_masks(n1 * n2):
-        ipairs = [(i, j) for i, row in enumerate(cell)
-                  for j, c in enumerate(row) if (mask >> c) & 1]
-        rel = ApproximableRelation._from_indices(s1, s2, ipairs)
-        if validate_approximable(rel).ok:
-            out.append(rel)
+    stack = [(0, 0)]  # (included, excluded) cells
+    while stack:
+        inc, exc = stack.pop()
+        free = ~(inc | exc) & ((1 << len(cells)) - 1)
+        if not free:
+            ipairs = [divmod(c, m) for c in cells if (inc >> c) & 1]
+            rel = ApproximableRelation._from_indices(s1, s2, ipairs)
+            if validate_approximable(rel).ok:
+                out.append(rel)
+            continue
+        c = (free & -free).bit_length() - 1
+        if not forced[c] & exc:
+            stack.append((inc | forced[c], exc))
+        if not forcers[c] & inc:
+            stack.append((inc, exc | forcers[c]))
     if len(out) > cfg.cap_hom:
         raise SizeCapExceeded(f"relation hom-set exceeds cap_hom={cfg.cap_hom}")
     return tuple(out)
@@ -136,7 +147,7 @@ def approximable_relations_between(ind1, ind2, config=None):
 def brute_force_relations(space1, space2, config=None):
     """All validated relations by raw powerset scan; only for tiny families.
 
-    Independent cross-check for the lifted enumeration above.
+    The literal oracle for the up-set search above.
     """
     cfg = resolve(config)
     cells = [(F, G) for F in space1.family for G in space2.family]
@@ -150,17 +161,6 @@ def brute_force_relations(space1, space2, config=None):
         if validate_approximable(rel).ok:
             out.append(rel)
     return tuple(out)
-
-
-def element_determined(rel, ind1, ind2):
-    """A pair holds exactly when the pair of singleton tops holds."""
-    for F in ind1.space.family:
-        for G in ind2.space.family:
-            direct = (F, G) in rel
-            collapsed = (frozenset([ind1.top(F)]), frozenset([ind2.top(G)])) in rel
-            if direct != collapsed:
-                return False
-    return True
 
 
 # --------------------------------------------------------------------------

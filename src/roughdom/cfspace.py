@@ -302,38 +302,31 @@ class ClosedSetPoset:
         return frozenset(E) in set(self.closed_sets)
 
 
-def cf_closed_sets(space, method="auto", config=None):
+def cf_closed_sets(space, config=None):
     """Enumerate the closed-set poset of a validated space.
 
-    ``auto`` runs the image algorithm (candidates are the upper
-    approximations of family members) and, inside the universe cap,
-    cross-checks it against the brute-force subset scan; the two must
-    agree.  Results are cached per space.
+    Runs the image algorithm (candidates are the upper approximations
+    of family members) and, inside the universe cap, cross-checks it
+    against the brute-force subset scan; the two must agree.  Results
+    are cached per space.
     """
     require_validated(space)
     cfg = resolve(config)
-    if method == "auto" and space._closed is not None:
+    if space._closed is not None:
         return space._closed
-    image = cf_closed_sets_masks(space, "image", cfg)
+    masks = cf_closed_sets_masks(space, "image", cfg)
     cross = len(space.universe) <= cfg.cap_universe
-    if method == "brute" or (method in ("auto", "both") and cross):
-        brute = cf_closed_sets_masks(space, "brute", cfg)
-        if brute != image:
-            raise PostconditionFailed(
-                "closed-set enumeration mismatch between brute force and image algorithm")
-        masks = brute
-    else:
-        masks = image
+    if cross and cf_closed_sets_masks(space, "brute", cfg) != masks:
+        raise PostconditionFailed(
+            "closed-set enumeration mismatch between brute force and image algorithm")
     index = {x: i for i, x in enumerate(space.universe)}
     sets = tuple(sorted((space.base.subset(m) for m in masks),
                         key=lambda s: set_key(s, index)))
     leq = [(a, b) for a in sets for b in sets if a <= b]
     poset = FinitePoset(sets, leq)
-    result = ClosedSetPoset(space=space, closed_sets=sets, poset=poset,
-                            cross_checked=cross or method == "brute")
-    if method == "auto":
-        space._closed = result
-    return result
+    space._closed = ClosedSetPoset(space=space, closed_sets=sets, poset=poset,
+                                   cross_checked=cross)
+    return space._closed
 
 
 @dataclass(frozen=True)

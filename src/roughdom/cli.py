@@ -161,7 +161,7 @@ def cmd_validate(args, config, reporter):
                             f"topological_fs={cls.topological_fs}")
         return EXIT_PASS if cls.fs else EXIT_FAIL
     if kind == "sel":
-        sel = docs.load_selector(args.path)
+        sel = docs.load_selector(args.path, config)
         if not validate_cf(sel.space, config=config).ok:
             reporter.add("selector-space", "fail", timing=time.perf_counter() - t0)
             return EXIT_FAIL
@@ -229,8 +229,10 @@ def cmd_check(args, config, reporter):
     loaded = []
 
     def _load_posets(paths, want, covers):
-        if len(paths) != want:
-            raise ArityMismatch(f"expected {want} poset document(s), got {len(paths)}")
+        """Load ``want`` poset documents, or one or more if ``want`` is None."""
+        if (not paths) if want is None else len(paths) != want:
+            raise ArityMismatch(f"expected {want or 'one or more'} poset "
+                                f"document(s), got {len(paths)}")
         batch = [docs.load_poset(p, allow_covers=covers) for p in paths]
         loaded.extend(batch)
         return batch
@@ -285,18 +287,18 @@ def cmd_check(args, config, reporter):
                 break
         detail = f"maps={count}"
     elif name == "functor-phi":
-        posets = _load_posets(args.inputs, len(args.inputs), args.covers)
+        posets = _load_posets(args.inputs, None, args.covers)
         report = check_functor_laws("phi", posets, config=config)
         ok = report.ok
         detail = f"compositions={report.compositions_checked}"
     elif name == "functor-psi":
-        posets = _load_posets(args.inputs, len(args.inputs), args.covers)
+        posets = _load_posets(args.inputs, None, args.covers)
         induced = [induce_cf_from_poset(L, config) for L in posets]
         report = check_functor_laws("psi", induced, config=config)
         ok = report.ok
         detail = f"compositions={report.compositions_checked}"
     elif name == "equivalence":
-        posets = _load_posets(args.inputs, len(args.inputs), args.covers)
+        posets = _load_posets(args.inputs, None, args.covers)
         induced = [induce_cf_from_poset(L, config) for L in posets]
         rep_phi = check_equivalence_evidence("phi", posets, config=config)
         rep_psi = check_equivalence_evidence("psi", induced, config=config)
@@ -382,6 +384,13 @@ def _positive_int(text):
     return value
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="roughdom",
@@ -411,9 +420,9 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a deterministic corpus")
     p.add_argument("kind", choices=("posets", "spaces", "relations"))
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--max-size", type=_positive_int, default=3)
     p.add_argument("--out", default="corpus")
-    p.add_argument("--random-count", type=int, default=0)
+    p.add_argument("--random-count", type=_non_negative_int, default=0)
     return parser
 
 

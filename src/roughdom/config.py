@@ -16,9 +16,10 @@ class RunConfig:
     universe (2**n work).  cap_oracle bounds enumeration of directed
     subsets of a poset.  cap_hom bounds how many morphisms a hom-set
     enumerator may yield, cap_iso the poset size fed to isomorphism
-    search.  cap_family bounds family sizes in relation enumeration,
-    cap_cells the cells (pairs of elements or of family members) a
-    relation enumeration scans all subsets of.
+    search.  cap_family bounds family sizes in relation enumeration.
+    cap_cells bounds the element pairs n1*n2 of the origin posets
+    whose induced spaces a hom-set enumeration may search, and the
+    family cells whose subsets the powerset oracle scans.
     oracle makes ``validate_cf`` enumerate every chunk instead of the
     greatest one, and makes the CLI re-derive way-below literally.
     """

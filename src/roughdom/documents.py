@@ -14,7 +14,8 @@ import json
 from pathlib import Path
 
 from .cfspace import CFSpace
-from .errors import ParseFailure, IOFailure
+from .config import resolve
+from .errors import ParseFailure, IOFailure, SizeCapExceeded
 from .gaspace import GASpace
 from .ordering import iter_subset_masks, set_key
 from .poset import FinitePoset
@@ -211,11 +212,18 @@ def load_witness(path):
 # selectors
 # --------------------------------------------------------------------------
 
-def selector_from_doc(doc, base_dir=".", where="selector document"):
+def selector_from_doc(doc, base_dir=".", where="selector document", config=None):
     """Selector documents must cover the whole index family (the K that
     contain some family member); other K default to the first entry's
-    families, which cannot affect the admissibility outcome."""
+    families, which cannot affect the admissibility outcome.  The table
+    is materialized over all 2**|U| index sets, so a universe over
+    ``cap_universe`` is refused before any of them is built."""
     space = _resolve_space(_expect(doc, "space", (dict, str), where), base_dir, where)
+    cfg = resolve(config)
+    n = len(space.universe)
+    if n > cfg.cap_universe:
+        raise SizeCapExceeded(
+            f"{where}: selector materialization needs |U| <= {cfg.cap_universe}")
     entries = _expect(doc, "entries", list, where)
     table = {}
     for item in entries:
@@ -228,7 +236,6 @@ def selector_from_doc(doc, base_dir=".", where="selector document"):
     default = table[min(table, key=lambda K: set_key(K, idx))]
     fm = space._fmasks
     full = {}
-    n = len(space.universe)
     for m in iter_subset_masks(n):
         K = space.base.subset(m)
         if K in table:
@@ -251,8 +258,8 @@ def selector_to_doc(sel):
     return {"space": space_to_doc(sel.space), "entries": entries}
 
 
-def load_selector(path):
-    return selector_from_doc(_read_json(path), Path(path).parent, str(path))
+def load_selector(path, config=None):
+    return selector_from_doc(_read_json(path), Path(path).parent, str(path), config)
 
 
 # --------------------------------------------------------------------------

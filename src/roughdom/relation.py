@@ -137,6 +137,17 @@ def validate_approximable(rel):
     return report
 
 
+def _absorption(source, target):
+    """Axioms (2) and (3): a valid relation holding the index pair (i, j)
+    holds (i2, j2) for every i2 in ``ups[i]`` (F_i inside upper(F_i2))
+    and every j2 in ``downs[j]`` (G_j2 inside upper(G_j))."""
+    fm1, r1 = source._fmasks, source._rmasks
+    fm2, r2 = target._fmasks, target._rmasks
+    ups = [[i2 for i2 in range(len(fm1)) if f & ~r1[i2] == 0] for f in fm1]
+    downs = [[j2 for j2 in range(len(fm2)) if fm2[j2] & ~r == 0] for r in r2]
+    return ups, downs
+
+
 def _validate(rel):
     src, tgt = rel.source, rel.target
     fm1, r1 = src._fmasks, src._rmasks
@@ -157,9 +168,7 @@ def _validate(rel):
             return fail(1, (rel.source.family[i],))
     conds[0] = True
 
-    # helper tables: who absorbs whom through upper approximations
-    ups1 = [[i2 for i2 in range(n1) if fm1[i] & ~r1[i2] == 0] for i in range(n1)]
-    downs2 = [[j2 for j2 in range(n2) if fm2[j2] & ~r2[j] == 0] for j in range(n2)]
+    ups1, downs2 = _absorption(src, tgt)
 
     # (2) left absorption: F inside upper(F') propagates the pair to F'
     for (i, j) in theta:

@@ -162,8 +162,6 @@ class TBSelector:
 
     def __init__(self, space, table):
         n = len(space.universe)
-        if n > 20:
-            raise SizeCapExceeded("selector tables are materialized over 2**|U| keys")
         members = set(space.family)
         norm = {}
         for K, ms in table.items():

@@ -114,12 +114,12 @@ def test_criterion_2_closed_set_enumeration_agreement(posets_to_5):
         for size, posets in posets_to_5.items():
             for P in posets:
                 space = induce_cf_from_poset(P).space
-                cs = cf_closed_sets(space, method="both")
+                cs = cf_closed_sets(space)
                 assert cs.cross_checked
         rng = seeded_rng(SEED + 1)
         for _ in range(100):
             space = random_cf_space(rng, max_universe=7)
-            cs = cf_closed_sets(space, method="both")
+            cs = cf_closed_sets(space)
             assert cs.cross_checked
 
 

@@ -2,19 +2,19 @@
 
 import pytest
 
-from conftest import chain, vee
+from conftest import antichain, chain, diamond, vee
 from roughdom.category import (
     approximable_relations_between,
     brute_force_relations,
     check_equivalence_evidence,
     check_functor_laws,
-    element_determined,
     phi_morphism,
     phi_object,
     psi_morphism,
     psi_object,
 )
 from roughdom.cfspace import cf_closed_sets
+from roughdom.corpus import all_posets
 from roughdom.poset import MonotoneMap, compose_maps, identity_map, monotone_maps
 from roughdom.relation import compose, identity_relation
 from roughdom.represent import induce_cf_from_poset
@@ -66,12 +66,56 @@ def test_relation_enumeration_matches_powerset(chain2):
         assert lifted == brute
 
 
+def element_determined(rel, ind1, ind2):
+    """A pair holds exactly when the pair of singleton tops holds."""
+    for F in ind1.space.family:
+        for G in ind2.space.family:
+            direct = (F, G) in rel
+            collapsed = (frozenset([ind1.top(F)]), frozenset([ind2.top(G)])) in rel
+            if direct != collapsed:
+                return False
+    return True
+
+
 def test_enumerated_relations_are_element_determined(small_objects):
     for P in small_objects:
         for Q in small_objects:
             iP, iQ = induce_cf_from_poset(P), induce_cf_from_poset(Q)
             for rel in approximable_relations_between(iP, iQ):
                 assert element_determined(rel, iP, iQ)
+
+
+def test_enumeration_matches_oracle_within_cap_cells(monkeypatch):
+    # every ordered pair of size-<=3 induced spaces whose family cells
+    # the powerset oracle may scan
+    import roughdom.relation as relation
+
+    induced = [induce_cf_from_poset(P) for n in (1, 2, 3) for P in all_posets(n)]
+    # the oracle validates up to 2**16 candidates per pair; a fresh memo,
+    # emptied after each pair, keeps them from piling up for later tests
+    monkeypatch.setattr(relation, "_VALIDATION_MEMO", {})
+    checked = 0
+    for iP in induced:
+        for iQ in induced:
+            if len(iP.space.family) * len(iQ.space.family) > 16:
+                continue
+            searched = approximable_relations_between(iP, iQ)
+            assert len(set(searched)) == len(searched)
+            assert set(searched) == set(brute_force_relations(iP.space, iQ.space))
+            relation._VALIDATION_MEMO.clear()
+            checked += 1
+    assert checked == 41
+
+
+def test_hom_set_sizes_match_monotone_maps_beyond_3x3():
+    # size-4 pairs: 16 element pairs each, the most the default cap_cells allows
+    for P, Q in ((chain(4), chain(4)), (chain(4), antichain(4)),
+                 (antichain(4), chain(4)), (diamond(), chain(4)),
+                 (diamond(), diamond())):
+        iP, iQ = induce_cf_from_poset(P), induce_cf_from_poset(Q)
+        rels = approximable_relations_between(iP, iQ)
+        assert len(rels) == len(monotone_maps(P, Q))
+        assert all(element_determined(rel, iP, iQ) for rel in rels)
 
 
 def test_hom_set_sizes_match(small_objects):

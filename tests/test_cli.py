@@ -249,3 +249,44 @@ def test_machine_record_names_every_cap(chain3_paths, capsys):
     entry = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert entry["caps"] == {"universe": 16, "family": 64, "hom": 20000,
                              "iso": 5, "oracle": 7, "cells": 16}
+
+
+@pytest.mark.parametrize("theorem", ["functor-phi", "functor-psi", "equivalence"])
+def test_category_checks_without_documents_are_malformed(theorem, capsys):
+    assert main(["check", theorem]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "posets", "--max-size", "-1"],
+    ["gen", "posets", "--max-size", "0"],
+    ["--seed", "1", "gen", "spaces", "--random-count", "-5"],
+], ids=["max-size-negative", "max-size-zero", "random-count-negative"])
+def test_gen_rejects_empty_or_negative_sizes(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "c").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _selector_doc(path, n):
+    # one member, the whole universe, selected for the whole universe
+    atoms = [f"u{i}" for i in range(n)]
+    docs.write_document(path, {
+        "space": {"universe": atoms, "relation": [[a, a] for a in atoms],
+                  "family": [atoms]},
+        "entries": [{"K": atoms, "M": [atoms]}]})
+    return str(path)
+
+
+def test_selector_documents_are_capped_before_materializing(tmp_path, capsys):
+    big = _selector_doc(tmp_path / "u17.sel.json", 17)
+    assert main(["--format", "machine", "validate", big]) == 1
+    entry = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert entry["detail"].startswith("SizeCapExceeded")
+    three = _selector_doc(tmp_path / "u3.sel.json", 3)
+    two = _selector_doc(tmp_path / "u2.sel.json", 2)
+    assert main(["validate", three]) == 0
+    assert main(["--cap-universe", "2", "validate", three]) == 1
+    assert main(["--cap-universe", "2", "validate", two]) == 0
