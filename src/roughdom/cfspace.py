@@ -308,14 +308,15 @@ def cf_closed_sets(space, config=None):
     Runs the image algorithm (candidates are the upper approximations
     of family members) and, inside the universe cap, cross-checks it
     against the brute-force subset scan; the two must agree.  Results
-    are cached per space.
+    are cached per space; a cached result that was not cross-checked is
+    enumerated and cross-checked again when the caller's cap allows it.
     """
     require_validated(space)
     cfg = resolve(config)
-    if space._closed is not None:
+    cross = len(space.universe) <= cfg.cap_universe
+    if space._closed is not None and (space._closed.cross_checked or not cross):
         return space._closed
     masks = cf_closed_sets_masks(space, "image", cfg)
-    cross = len(space.universe) <= cfg.cap_universe
     if cross and cf_closed_sets_masks(space, "brute", cfg) != masks:
         raise PostconditionFailed(
             "closed-set enumeration mismatch between brute force and image algorithm")

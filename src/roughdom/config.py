@@ -21,7 +21,10 @@ class RunConfig:
     whose induced spaces a hom-set enumeration may search, and the
     family cells whose subsets the powerset oracle scans.
     oracle makes ``validate_cf`` enumerate every chunk instead of the
-    greatest one, and makes the CLI re-derive way-below literally.
+    greatest one, makes ``way_below`` and ``is_scott_continuous``
+    quantify over every directed subset (within cap_oracle) wherever
+    the config reaches them, and makes the CLI re-derive way-below
+    literally.
     """
 
     cap_universe: int = 16

@@ -115,6 +115,8 @@ class FinitePoset:
         return x in self._index
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FinitePoset):
             return NotImplemented
         return (frozenset(self.elements) == frozenset(other.elements)
@@ -271,11 +273,11 @@ def way_below(P, x, y, oracle=False, config=None):
     """x is way below y.
 
     Fast mode uses the finite collapse (way-below equals the order);
-    oracle mode quantifies over every directed subset whose supremum
-    dominates y, exactly as defined.
+    oracle mode (``oracle`` or ``config.oracle``) quantifies over every
+    directed subset whose supremum dominates y, exactly as defined.
     """
     xi, yi = P.index(x), P.index(y)
-    if not oracle:
+    if not (oracle or resolve(config).oracle):
         return (P._up_masks[xi] >> yi) & 1 == 1
     upx = P._up_masks[xi]
     for dmask, sup_i in P.directed_masks(config):
@@ -385,8 +387,9 @@ class MonotoneMap:
         for x, y in g.items():
             if y not in target:
                 raise InvalidMap(f"image {y!r} of {x!r} is not in the target")
+        up, index = target._up_masks, target._index
         for a, b in source.leq_pairs:
-            if not target.leq(g[a], g[b]):
+            if not (up[index[g[a]]] >> index[g[b]]) & 1:
                 raise NotMonotone(f"map breaks order on {a!r} <= {b!r}")
         self.source = source
         self.target = target
@@ -435,7 +438,9 @@ def compose_maps(g, f):
 def pointwise_leq(f, g):
     if f.source != g.source or f.target != g.target:
         raise PreconditionViolated("maps live between different posets")
-    return all(f.target.leq(f(x), g(x)) for x in f.source.elements)
+    up, index = f.target._up_masks, f.target._index
+    fg, gg = f.graph, g.graph
+    return all((up[index[fg[x]]] >> index[gg[x]]) & 1 for x in f.source.elements)
 
 
 def pointwise_sup(family):
@@ -454,9 +459,13 @@ def pointwise_sup(family):
 
 
 def is_scott_continuous(f, oracle=False, config=None):
-    """Preservation of directed suprema, literally in oracle mode."""
-    if not oracle:
-        return all(f.target.leq(f(a), f(b)) for a, b in f.source.leq_pairs)
+    """Preservation of directed suprema, literally in oracle mode.
+
+    Oracle mode is on when ``oracle`` or ``config.oracle`` is set.
+    """
+    if not (oracle or resolve(config).oracle):
+        up, index, g = f.target._up_masks, f.target._index, f.graph
+        return all((up[index[g[a]]] >> index[g[b]]) & 1 for a, b in f.source.leq_pairs)
     for dmask, sup_i in f.source.directed_masks(config):
         if sup_i is None:
             continue

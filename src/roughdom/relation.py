@@ -148,13 +148,43 @@ def _absorption(source, target):
     return ups, downs
 
 
+def _masks(index_lists):
+    return [sum(1 << k for k in ks) for ks in index_lists]
+
+
+def _row_masks(rel):
+    """Per source index i, the bitmask of the target indices paired with i."""
+    row = [0] * len(rel.source.family)
+    for i, js in rel._rows.items():
+        row[i] = sum(1 << j for j in js)
+    return row
+
+
+def _lowest(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def _undirected(rel, row, up2):
+    """The first (i, j, j2), rows ascending, where G_j and G_j2 have no
+    common bound among the targets of i (``up2[j]`` holds the j3 with G_j
+    inside upper(G_j3)); None when every row is directed."""
+    for i, js in rel._rows.items():
+        for a, j in enumerate(js):
+            bounds = up2[j] & row[i]
+            for j2 in js[a:]:
+                if not bounds & up2[j2]:
+                    return i, j, j2
+    return None
+
+
 def _validate(rel):
+    """The five axioms on row bitmasks: ``row[i]`` has bit j set when the
+    relation holds (i, j).  Rows are checked in ascending order and a
+    counterexample names the lowest missing index."""
     src, tgt = rel.source, rel.target
-    fm1, r1 = src._fmasks, src._rmasks
-    fm2, r2 = tgt._fmasks, tgt._rmasks
-    n1, n2 = len(fm1), len(fm2)
-    theta = rel._ipairs
+    n1 = len(src.family)
     rows = rel._rows
+    row = _row_masks(rel)
     conds = [None] * 5
 
     def fail(k, counter):
@@ -163,42 +193,48 @@ def _validate(rel):
 
     # (1) every source member relates to something
     for i in range(n1):
-        if i not in rows:
-            conds[0] = False
-            return fail(1, (rel.source.family[i],))
+        if not row[i]:
+            return fail(1, (src.family[i],))
     conds[0] = True
 
+    # (2) and (3) absorb along the preorders; the transposed lists serve
+    # (4) and (5): downs1[i] holds i2 with F_i2 inside upper(F_i), ups2[j]
+    # holds j2 with G_j inside upper(G_j2)
     ups1, downs2 = _absorption(src, tgt)
+    ups2, downs1 = _absorption(tgt, src)
+    down2, up2 = _masks(downs2), _masks(ups2)
 
     # (2) left absorption: F inside upper(F') propagates the pair to F'
-    for (i, j) in theta:
+    for i in range(n1):
         for i2 in ups1[i]:
-            if (i2, j) not in theta:
-                return fail(2, (src.family[i], src.family[i2], tgt.family[j]))
+            missing = row[i] & ~row[i2]
+            if missing:
+                return fail(2, (src.family[i], src.family[i2], tgt.family[_lowest(missing)]))
     conds[1] = True
 
     # (3) right absorption: G' inside upper(G) propagates the pair to G'
-    for (i, j) in theta:
-        for j2 in downs2[j]:
-            if (i, j2) not in theta:
-                return fail(3, (src.family[i], tgt.family[j], tgt.family[j2]))
+    for i, js in rows.items():
+        for j in js:
+            missing = down2[j] & ~row[i]
+            if missing:
+                return fail(3, (src.family[i], tgt.family[j], tgt.family[_lowest(missing)]))
     conds[2] = True
 
     # (4) interpolation: each pair factors through a smaller F' and larger G'
-    preds1 = [[i2 for i2 in range(n1) if fm1[i2] & ~r1[i] == 0] for i in range(n1)]
-    ups2 = [[j2 for j2 in range(n2) if fm2[j] & ~r2[j2] == 0] for j in range(n2)]
-    for (i, j) in theta:
-        if not any((i2, j2) in theta for i2 in preds1[i] for j2 in ups2[j]):
-            return fail(4, (src.family[i], tgt.family[j]))
+    for i, js in rows.items():
+        below = 0
+        for i2 in downs1[i]:
+            below |= row[i2]
+        for j in js:
+            if not below & up2[j]:
+                return fail(4, (src.family[i], tgt.family[j]))
     conds[3] = True
 
     # (5) right directedness: paired targets admit a common bound
-    for i, js in rows.items():
-        for a in range(len(js)):
-            for b in range(a, len(js)):
-                union = fm2[js[a]] | fm2[js[b]]
-                if not any(union & ~r2[j3] == 0 for j3 in js):
-                    return fail(5, (src.family[i], tgt.family[js[a]], tgt.family[js[b]]))
+    bad = _undirected(rel, row, up2)
+    if bad:
+        i, j, j2 = bad
+        return fail(5, (src.family[i], tgt.family[j], tgt.family[j2]))
     conds[4] = True
 
     return ApproximabilityReport(True, None, None, tuple(conds))
@@ -364,34 +400,29 @@ def validate_topological_approximable(rel):
     if not (is_topological_cf(rel.source) and is_topological_cf(rel.target)):
         raise NotTopological("both spaces must be topological CF spaces")
     src, tgt = rel.source, rel.target
-    fm1, r1 = src._fmasks, src._rmasks
-    fm2, r2 = tgt._fmasks, tgt._rmasks
-    n1, n2 = len(fm1), len(fm2)
-    theta = rel._ipairs
     rows = rel._rows
+    row = _row_masks(rel)
 
-    for i in range(n1):
-        if i not in rows:
+    for i in range(len(row)):
+        if not row[i]:
             return TopologicalApproximabilityReport(False, 1, (src.family[i],))
 
-    for (i, j) in theta:
-        for i2 in range(n1):
-            if fm1[i] & ~r1[i2]:
-                continue
-            for j2 in range(n2):
-                if fm2[j2] & ~r2[j]:
-                    continue
-                if (i2, j2) not in theta:
-                    return TopologicalApproximabilityReport(
-                        False, 2,
-                        (src.family[i], src.family[i2], tgt.family[j], tgt.family[j2]))
-
+    ups1, downs2 = _absorption(src, tgt)
+    up2 = _masks(_absorption(tgt, src)[0])
+    down2 = _masks(downs2)
     for i, js in rows.items():
-        for a in range(len(js)):
-            for b in range(a, len(js)):
-                union = fm2[js[a]] | fm2[js[b]]
-                if not any(union & ~r2[j3] == 0 for j3 in js):
+        for j in js:
+            for i2 in ups1[i]:
+                missing = down2[j] & ~row[i2]
+                if missing:
                     return TopologicalApproximabilityReport(
-                        False, 3, (src.family[i], tgt.family[js[a]], tgt.family[js[b]]))
+                        False, 2, (src.family[i], src.family[i2], tgt.family[j],
+                                   tgt.family[_lowest(missing)]))
+
+    bad = _undirected(rel, row, up2)
+    if bad:
+        i, j, j2 = bad
+        return TopologicalApproximabilityReport(
+            False, 3, (src.family[i], tgt.family[j], tgt.family[j2]))
 
     return TopologicalApproximabilityReport(True)

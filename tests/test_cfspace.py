@@ -13,6 +13,7 @@ from roughdom.cfspace import (
     validate_cf,
     way_below_closed,
 )
+from roughdom.config import RunConfig
 from roughdom.corpus import random_cf_space, seeded_rng
 from roughdom.errors import NotClosed, SpaceNotValidated
 from roughdom.gaspace import GASpace, upper_approx
@@ -108,6 +109,21 @@ def test_enumeration_agreement_random():
         # auto cross-checks brute force against the image algorithm
         cs = cf_closed_sets(space)
         assert cs.cross_checked
+
+
+def test_closed_sets_cache_is_cross_checked_once_the_cap_allows(chain3):
+    # a fresh copy: induced spaces are shared, and earlier tests fill their cache
+    induced = induce_cf_from_poset(chain3).space
+    space = CFSpace(induced.base, induced.family)
+    validate_cf(space)
+    small = cf_closed_sets(space, config=RunConfig(cap_universe=2))
+    assert not small.cross_checked
+    # still within the small cap: the cached result answers
+    assert cf_closed_sets(space, config=RunConfig(cap_universe=2)) is small
+    full = cf_closed_sets(space)
+    assert full.cross_checked
+    assert full.closed_sets == small.closed_sets and full.poset == small.poset
+    assert cf_closed_sets(space, config=RunConfig(cap_universe=2)) is full
 
 
 def closedness_forms(space, E):

@@ -181,6 +181,18 @@ def test_oracle_flag_crosschecks(chain3_paths, capsys):
     assert checks.get("oracle-crosscheck") == "pass"
 
 
+@pytest.mark.parametrize("theorem", ["rep1", "rep2", "rep3", "rep4"])
+def test_oracle_runs_keep_the_exit_codes(theorem, tmp_path, chain3_paths, capsys):
+    poset_path, _ = chain3_paths
+    truncated = tmp_path / "t.poset.json"
+    truncated.write_text("{\"elements\"", encoding="utf-8")
+    assert main(["--oracle", "check", theorem, str(poset_path)]) == 0
+    # the literal forms stop at cap_oracle: a check failure, not a crash
+    assert main(["--oracle", "--cap-oracle", "2", "check", theorem, str(poset_path)]) == 1
+    assert main(["--oracle", "check", theorem, str(truncated)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_gen_random_without_seed_is_malformed(tmp_path):
     out = tmp_path / "spaces"
     assert main(["gen", "spaces", "--max-size", "2",

@@ -13,7 +13,10 @@ from roughdom.errors import (
     NotDirected,
     NotMonotone,
     PreconditionViolated,
+    SizeCapExceeded,
 )
+from roughdom.config import RunConfig
+from roughdom.corpus import random_monotone_map, seeded_rng
 from roughdom.poset import (
     FinitePoset,
     MonotoneMap,
@@ -33,6 +36,7 @@ from roughdom.poset import (
     is_separating_witness,
     monotone_maps,
     order_isomorphism,
+    pointwise_leq,
     pointwise_sup,
     supremum,
     verify_bf_domain_witness,
@@ -231,6 +235,76 @@ def test_monotone_implies_scott_on_finite(zoo):
         for Q in zoo:
             for f in monotone_maps(P, Q):
                 assert is_scott_continuous(f, oracle=True)
+
+
+def raw_map(P, Q, graph):
+    """A map object that skips the constructor's monotonicity check."""
+    f = MonotoneMap.__new__(MonotoneMap)
+    f.source, f.target, f.graph, f._hash = P, Q, dict(graph), None
+    return f
+
+
+def relabeled_copy(P):
+    """An equal poset object that lists its elements in reverse."""
+    return FinitePoset(tuple(reversed(P.elements)), P.leq_pairs)
+
+
+def test_map_order_checks_agree_with_leq_restatements(posets_to_4):
+    rng = seeded_rng(71)
+    flat = [P for n in (1, 2, 3, 4) for P in posets_to_4[n]]
+    rejected = accepted = 0
+    for _ in range(600):
+        P, Q = rng.choice(flat), rng.choice(flat)
+        graph = {x: rng.choice(Q.elements) for x in P.elements}
+        monotone = all(Q.leq(graph[a], graph[b])
+                       for a in P.elements for b in P.elements if P.leq(a, b))
+        raw = raw_map(P, Q, graph)
+        assert is_scott_continuous(raw) == monotone
+        assert is_scott_continuous(raw, oracle=True) == monotone
+        if not monotone:
+            rejected += 1
+            with pytest.raises(NotMonotone):
+                MonotoneMap(P, Q, graph)
+            with pytest.raises(NotMonotone):
+                MonotoneMap(relabeled_copy(P), relabeled_copy(Q), graph)
+            continue
+        accepted += 1
+        f = MonotoneMap(P, Q, graph)
+        # a second map on equal but distinct poset objects
+        P2, Q2 = relabeled_copy(P), relabeled_copy(Q)
+        assert P2 == P and P2 is not P and Q2 == Q and Q2 is not Q
+        g = MonotoneMap(P2, Q2, random_monotone_map(rng, P, Q).graph)
+        for a, b in ((f, g), (g, f), (f, f)):
+            assert pointwise_leq(a, b) == all(Q.leq(a(x), b(x)) for x in P.elements)
+        # maps between different posets
+        R = rng.choice([R for R in flat if R != Q])
+        h = random_monotone_map(rng, P, R)
+        with pytest.raises(PreconditionViolated):
+            pointwise_leq(f, h)
+        S = rng.choice([S for S in flat if S != P])
+        with pytest.raises(PreconditionViolated):
+            pointwise_leq(f, random_monotone_map(rng, S, Q))
+    assert rejected >= 100 and accepted >= 100
+
+
+def test_run_config_oracle_reaches_the_literal_forms(chain3):
+    # fresh posets: their directed subsets are not cached yet, so the
+    # literal forms meet cap_oracle
+    for P, cfg in ((chain(13), RunConfig(oracle=True)),
+                   (chain(3), RunConfig(oracle=True, cap_oracle=2))):
+        f = identity_map(P)
+        x, y = P.elements[:2]
+        assert way_below(P, x, y, config=cfg.with_updates(oracle=False))
+        assert is_scott_continuous(f, config=cfg.with_updates(oracle=False))
+        with pytest.raises(SizeCapExceeded):
+            way_below(P, x, y, config=cfg)
+        with pytest.raises(SizeCapExceeded):
+            is_scott_continuous(f, config=cfg)
+    cfg = RunConfig(oracle=True)
+    assert not way_below(chain3, "2", "0", config=cfg)
+    assert chain3._directed is not None  # the literal form ran
+    const = raw_map(chain3, chain3, {"0": "2", "1": "0", "2": "0"})
+    assert not is_scott_continuous(const, config=cfg)
 
 
 # -- separating maps and identities ---------------------------------------------

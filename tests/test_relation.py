@@ -2,9 +2,8 @@
 
 import pytest
 
-from conftest import chain
-from roughdom.cfspace import CFSpace, cf_closed_sets, validate_cf
-from roughdom.corpus import random_monotone_map, seeded_rng
+from roughdom.cfspace import CFSpace, cf_closed_sets, is_topological_cf, validate_cf
+from roughdom.corpus import random_cf_space, random_monotone_map, seeded_rng
 from roughdom.errors import SpaceMismatch
 from roughdom.gaspace import GASpace
 from roughdom.poset import MonotoneMap, identity_map, is_directed
@@ -19,6 +18,65 @@ from roughdom.relation import (
     validate_topological_approximable,
 )
 from roughdom.represent import induce_cf_from_poset, omega_from_map
+
+DENSITIES = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.97)
+
+
+def literal_upper(space, A):
+    """Upper approximation from the relation pairs: atoms related to some a in A."""
+    R = space.base.relation
+    return frozenset(x for x in space.universe if any((x, a) in R for a in A))
+
+
+def literal_axioms(rel):
+    """The five morphism axioms straight from their definitions.
+
+    Works on (F, G) pairs of frozensets; returns the list of which
+    axioms hold, each decided on its own.
+    """
+    fam1, fam2, theta = rel.source.family, rel.target.family, rel.pairs
+    up1 = {F: literal_upper(rel.source, F) for F in fam1}
+    up2 = {G: literal_upper(rel.target, G) for G in fam2}
+    return [
+        # (1) every source member is paired with some target member
+        all(any((F, G) in theta for G in fam2) for F in fam1),
+        # (2) (F, G) and F inside upper(F') give (F', G)
+        all((F2, G) in theta for F, G in theta for F2 in fam1 if F <= up1[F2]),
+        # (3) (F, G) and G' inside upper(G) give (F, G')
+        all((F, G2) in theta for F, G in theta for G2 in fam2 if G2 <= up2[G]),
+        # (4) (F, G) factors through some (F', G') with F' inside upper(F)
+        #     and G inside upper(G')
+        all(any((F2, G2) in theta for F2 in fam1 if F2 <= up1[F]
+                for G2 in fam2 if G <= up2[G2])
+            for F, G in theta),
+        # (5) targets paired with one F have a common bound paired with F
+        all(any((F, G3) in theta and G1 | G2 <= up2[G3] for G3 in fam2)
+            for F, G1 in theta for G2 in fam2 if (F, G2) in theta),
+    ]
+
+
+def violates(rel, axiom, counterexample):
+    """Whether a validator's counterexample really breaks its axiom."""
+    fam1, fam2, theta = rel.source.family, rel.target.family, rel.pairs
+    up1 = lambda F: literal_upper(rel.source, F)
+    up2 = lambda G: literal_upper(rel.target, G)
+    if axiom == 1:
+        (F,) = counterexample
+        return F in fam1 and not any((F, G) in theta for G in fam2)
+    if axiom == 2:
+        F, F2, G = counterexample
+        return (F, G) in theta and F <= up1(F2) and (F2, G) not in theta
+    if axiom == 3:
+        F, G, G2 = counterexample
+        return (F, G) in theta and G2 <= up2(G) and (F, G2) not in theta
+    if axiom == 4:
+        F, G = counterexample
+        return (F, G) in theta and not any(
+            (F2, G2) in theta for F2 in fam1 if F2 <= up1(F)
+            for G2 in fam2 if G <= up2(G2))
+    F, G1, G2 = counterexample
+    return ((F, G1) in theta and (F, G2) in theta
+            and not any((F, G3) in theta and G1 | G2 <= up2(G3) for G3 in fam2))
 
 
 @pytest.fixture
@@ -193,19 +251,71 @@ def test_round_trips_spot(chain2_space, chain3_space):
     assert to_map(from_map(const, chain3_space, chain3_space)) == const
 
 
-def test_topological_validator_agrees_with_general():
+def test_topological_validator_agrees_with_general(posets_to_4):
     rng = seeded_rng(53)
-    space = induce_cf_from_poset(chain(2)).space
-    cells = [(F, G) for F in space.family for G in space.family]
-    agreements = 0
-    for _ in range(100):
-        chosen = [c for c in cells if rng.random() < 0.4]
-        rel = ApproximableRelation(space, space, chosen)
-        general = validate_approximable(rel).ok
-        topological = validate_topological_approximable(rel).ok
-        assert general == topological
-        agreements += 1
-    assert agreements == 100
+    spaces = [induce_cf_from_poset(P).space for n in (1, 2, 3) for P in posets_to_4[n]]
+    spaces += [sp for sp in (random_cf_space(rng, max_universe=5) for _ in range(40))
+               if is_topological_cf(sp)]
+    verdicts = set()
+    for _ in range(1500):
+        src, tgt = rng.choice(spaces), rng.choice(spaces)
+        density = rng.choice(DENSITIES)
+        chosen = [(F, G) for F in src.family for G in tgt.family
+                  if rng.random() < density]
+        rel = ApproximableRelation(src, tgt, chosen)
+        general = validate_approximable(rel)
+        topological = validate_topological_approximable(rel)
+        assert general.ok == topological.ok
+        assert (general.failing == 1) == (topological.failing == 1)
+        verdicts.add(topological.failing)
+    assert verdicts == {None, 1, 2, 3}
+
+
+def test_validator_agrees_with_literal_axioms(posets_to_4, monkeypatch):
+    import roughdom.relation as relation
+
+    # a fresh memo, emptied as it goes, keeps the corpus from piling up
+    monkeypatch.setattr(relation, "_VALIDATION_MEMO", {})
+    rng = seeded_rng(62)
+    spaces = [induce_cf_from_poset(P).space for n in (1, 2, 3) for P in posets_to_4[n]]
+    spaces += [random_cf_space(rng) for _ in range(60)]
+    failures = dict.fromkeys((None, 1, 2, 3, 4, 5), 0)
+    unpaired_bounds = 0
+    for k in range(20000):
+        src, tgt = rng.choice(spaces), rng.choice(spaces)
+        density = rng.choice(DENSITIES)
+        chosen = {(F, G) for F in src.family for G in tgt.family
+                  if rng.random() < density}
+        if k % 2:
+            # every other draw closed under axioms (2) and (3), so that
+            # (4), (5) and the whole set of axioms are reached often
+            up1 = {F: literal_upper(src, F) for F in src.family}
+            up2 = {G: literal_upper(tgt, G) for G in tgt.family}
+            chosen = {(F2, G2) for F, G in chosen
+                      for F2 in src.family if F <= up1[F2]
+                      for G2 in tgt.family if G2 <= up2[G]}
+        rel = ApproximableRelation(src, tgt, chosen)
+        report = validate_approximable(rel)
+        holds = literal_axioms(rel)
+        failing = next((n + 1 for n, h in enumerate(holds) if not h), None)
+        assert report.ok == all(holds)
+        assert report.failing == failing
+        if failing is None:
+            assert report.conditions == (True,) * 5
+        else:
+            assert report.conditions == ((True,) * (failing - 1) + (False,)
+                                         + (None,) * (5 - failing))
+            assert violates(rel, failing, report.counterexample)
+        if failing == 5:
+            _, G1, G2 = report.counterexample
+            unpaired_bounds += any(G1 | G2 <= literal_upper(tgt, G3) for G3 in tgt.family)
+        failures[failing] += 1
+        if k % 1000 == 999:
+            relation._VALIDATION_MEMO.clear()
+    assert all(count >= 250 for count in failures.values()), failures
+    # some (5) failures have a common bound in the family that the
+    # relation leaves out: the bound must be paired, not merely exist
+    assert unpaired_bounds >= 10
 
 
 def test_topological_validator_on_identity(chain3_space):
