@@ -123,14 +123,15 @@ def approximable_relations_between(ind1, ind2, config=None):
         for d in (i2 * m + j2 for i2 in ups[c // m] for j2 in downs[c % m]):
             forced[c] |= 1 << d
             forcers[d] |= 1 << c
+    row_mask = (1 << m) - 1  # cell i*m + j is bit j of row i
     out = []
     stack = [(0, 0)]  # (included, excluded) cells
     while stack:
         inc, exc = stack.pop()
         free = ~(inc | exc) & ((1 << len(cells)) - 1)
         if not free:
-            ipairs = [divmod(c, m) for c in cells if (inc >> c) & 1]
-            rel = ApproximableRelation._from_indices(s1, s2, ipairs)
+            rows = [inc >> (i * m) & row_mask for i in range(len(s1.family))]
+            rel = ApproximableRelation._from_rows(s1, s2, rows)
             if validate_approximable(rel).ok:
                 out.append(rel)
             continue

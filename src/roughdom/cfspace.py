@@ -47,7 +47,7 @@ class CFSpace:
     """
 
     __slots__ = ("base", "family", "_findex", "_fmasks", "_rmasks",
-                 "_validation", "_closed", "_hash")
+                 "_validation", "_closed", "_topological", "_hash")
 
     def __init__(self, base, family):
         if not isinstance(base, GASpace):
@@ -71,6 +71,7 @@ class CFSpace:
         self._rmasks = tuple(base.upper_mask(m) for m in self._fmasks)
         self._validation = None
         self._closed = None
+        self._topological = None
         self._hash = None
 
     def __eq__(self, other):
@@ -360,16 +361,15 @@ def way_below_closed(space, E1, E2):
 def is_topological_cf(space):
     """Preorder relation makes a validated space topological.
 
-    Re-runs the admissibility check to confirm that a preorder plus any
-    family is automatically consistent; a failure there would be a bug,
-    not a property of the input.
+    Re-runs the admissibility check, once per space, to confirm that a
+    preorder plus any family is automatically consistent; a failure there
+    would be a bug, not a property of the input.
     """
     require_validated(space)
-    props = relation_properties(space.base)
-    if not props.preorder:
-        return False
-    # a fresh fast check that leaves the stored report as it is
-    if not _check_cf(space, oracle=False, record_witnesses=False).ok:
-        raise PostconditionFailed(
-            "a preorder space failed the consistency re-check")
-    return True
+    if space._topological is None:
+        preorder = relation_properties(space.base).preorder
+        # a fresh fast check that leaves the stored report as it is
+        if preorder and not _check_cf(space, oracle=False, record_witnesses=False).ok:
+            raise PostconditionFailed("a preorder space failed the consistency re-check")
+        space._topological = preorder
+    return space._topological

@@ -316,7 +316,7 @@ def cmd_check(args, config, reporter):
         if not validate_cf(space, config=config).ok:
             reporter.add(name, "fail", timing=time.perf_counter() - t0)
             return EXIT_FAIL
-        witness = docs.load_witness(args.inputs[1]) if len(args.inputs) == 2 else None
+        witness = docs.load_witness(args.inputs[1], space) if len(args.inputs) == 2 else None
         result = space_self_iso(space, witness, config)
         detail = f"double universe of {len(result.double.space.universe)} closed sets"
     if config.oracle and loaded:

@@ -180,12 +180,13 @@ def load_relation(path):
 # witness families
 # --------------------------------------------------------------------------
 
-def witness_from_doc(doc, base_dir=".", where="witness document"):
+def witness_from_doc(doc, base_dir=".", where="witness document", space=None):
+    """The witness on ``space``, by default the first relation's source."""
     raw_rels = _expect(doc, "relations", list, where)
     if not raw_rels:
         raise ParseFailure(f"{where}: needs at least one relation")
     rels = [relation_from_doc(r, base_dir, where) for r in raw_rels]
-    space = rels[0].source
+    space = rels[0].source if space is None else space
     raw_seps = _expect(doc, "separators", list, where)
     separators = []
     for ms in raw_seps:
@@ -204,8 +205,8 @@ def witness_to_doc(w):
     }
 
 
-def load_witness(path):
-    return witness_from_doc(_read_json(path), Path(path).parent, str(path))
+def load_witness(path, space=None):
+    return witness_from_doc(_read_json(path), Path(path).parent, str(path), space)
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,29 @@ def mask_of(items, index):
     return m
 
 
+def union_of(masks, sel):
+    """The union of ``masks[j]`` over the set bits j of ``sel``."""
+    out = 0
+    for j in bits(sel):
+        out |= masks[j]
+    return out
+
+
+def is_directed_under(items, leq):
+    """Nonempty with every two items bounded among ``items``, for a preorder
+    ``leq``.  A finite directed family bounds all its items at once, so one
+    pass keeps the last item not below the candidate, and a second checks
+    it: at most ``2 * len(items)`` calls of ``leq``."""
+    items = list(items)
+    if not items:
+        return False
+    top = items[0]
+    for x in items:
+        if not leq(x, top):
+            top = x
+    return all(leq(x, top) for x in items)
+
+
 def unmask(mask, universe):
     return frozenset(universe[i] for i in bits(mask))
 

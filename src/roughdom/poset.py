@@ -30,7 +30,7 @@ from .errors import (
     PostconditionFailed,
     SizeCapExceeded,
 )
-from .ordering import bits, unmask
+from .ordering import bits, is_directed_under, unmask
 
 
 class FinitePoset:
@@ -229,14 +229,7 @@ def is_directed(P, S):
     ``is_directed_definitional`` keeps the literal form for comparison.
     """
     _require_subset(P, S)
-    members = list(S)
-    if not members:
-        return False
-    smask = P.mask(members)
-    for a, b in itertools.combinations_with_replacement(members, 2):
-        if P._up_masks[P.index(a)] & P._up_masks[P.index(b)] & smask == 0:
-            return False
-    return True
+    return is_directed_under(S, P.leq)
 
 
 def is_directed_definitional(P, S):
@@ -560,9 +553,8 @@ def is_approximate_identity(P, family):
     for f in family:
         if f.source != P or f.target != P:
             raise PreconditionViolated("family members must be endo-maps on P")
-    for f, g in itertools.combinations_with_replacement(family, 2):
-        if not any(pointwise_leq(f, h) and pointwise_leq(g, h) for h in family):
-            return False
+    if not is_directed_under(family, pointwise_leq):
+        return False
     sup = pointwise_sup(family)
     return sup is not None and sup == identity_map(P)
 

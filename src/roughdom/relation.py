@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfspace import cf_closed_sets, require_validated
+from .cfspace import cf_closed_sets, is_topological_cf, require_validated
 from .errors import (
     InvalidRelation,
     MapNotContinuous,
@@ -21,85 +21,91 @@ from .errors import (
     RelationNotValidated,
     SpaceMismatch,
 )
-from .cfspace import is_topological_cf
+from .ordering import bits, union_of
 from .poset import MonotoneMap, is_scott_continuous
 
 
 class ApproximableRelation:
     """A set of (F, G) pairs between the families of two CF spaces.
 
-    Stored extensionally so equality stays structural and decidable;
-    validation runs on demand and is memoized per content.  Alongside
-    ``pairs`` the relation keeps its (i, j) family-index pairs
-    (``_ipairs``) and the targets of each source index (``_rows``).
+    Stored as one tuple ``rows``: bit j of ``rows[i]`` is set when the
+    relation holds (F_i, G_j), indexing the source and target families.
+    ``pairs`` builds the same content as member pairs on each read.
+    Validation runs on demand and is memoized per content.
     """
 
-    __slots__ = ("source", "target", "pairs", "_ipairs", "_rows", "_validation",
-                 "_hash")
+    __slots__ = ("source", "target", "rows", "_validation", "_hash")
 
     def __init__(self, source, target, pairs):
         findex, gindex = source._findex, target._findex
-        ip = set()
+        rows = [0] * len(source.family)
         for F, G in pairs:
             F, G = frozenset(F), frozenset(G)
             if F not in findex:
                 raise InvalidRelation(f"{set(F)!r} is not in the source family")
             if G not in gindex:
                 raise InvalidRelation(f"{set(G)!r} is not in the target family")
-            ip.add((findex[F], gindex[G]))
-        self._fill(source, target, ip)
+            rows[findex[F]] |= 1 << gindex[G]
+        self._fill(source, target, rows)
 
     @classmethod
-    def _from_indices(cls, source, target, ipairs):
-        """The relation on (i, j) pairs of source and target family indices.
-
-        For internal builders whose indices are valid by construction:
-        nothing is normalized or checked.
-        """
+    def _from_rows(cls, source, target, rows):
+        """The relation with target-index bitmask ``rows[i]`` at source
+        index i, unchecked: for builders whose rows are valid by construction."""
         rel = cls.__new__(cls)
-        rel._fill(source, target, ipairs)
+        rel._fill(source, target, rows)
         return rel
 
-    def _fill(self, source, target, ipairs):
-        # frozensets copied from sets get compact tables; built from other
-        # iterables they keep up to twice the room, and relations are many
-        ip = frozenset(set(ipairs))
-        fam1, fam2 = source.family, target.family
+    def _fill(self, source, target, rows):
         self.source = source
         self.target = target
-        self.pairs = frozenset({(fam1[i], fam2[j]) for i, j in ip})
-        self._ipairs = ip
-        rows = {}
-        for i, j in sorted(ip):
-            rows.setdefault(i, []).append(j)
-        self._rows = {i: tuple(js) for i, js in rows.items()}
+        self.rows = tuple(rows)
         self._validation = None
         self._hash = None
+
+    @property
+    def pairs(self):
+        fam1, fam2 = self.source.family, self.target.family
+        return frozenset((fam1[i], fam2[j])
+                         for i, row in enumerate(self.rows) for j in bits(row))
+
+    def on(self, source, target):
+        """The same relation on the equal spaces ``source`` and ``target``,
+        whose families may list their members in another order."""
+        if source is self.source and target is self.target:
+            return self
+        if source != self.source or target != self.target:
+            raise SpaceMismatch("a relation moves only between equal spaces")
+        gpos = [target._findex[G] for G in self.target.family]
+        rows = [0] * len(source.family)
+        for F, row in zip(self.source.family, self.rows):
+            rows[source._findex[F]] = sum(1 << gpos[j] for j in bits(row))
+        return ApproximableRelation._from_rows(source, target, rows)
 
     def __eq__(self, other):
         if not isinstance(other, ApproximableRelation):
             return NotImplemented
         if self.source is other.source and self.target is other.target:
-            return self._ipairs == other._ipairs
+            return self.rows == other.rows
         return (self.source == other.source and self.target == other.target
                 and self.pairs == other.pairs)
 
     def __hash__(self):
+        # row sizes by source member: alike for equal relations in any family order
         if self._hash is None:
-            self._hash = hash((self.source, self.target, self.pairs))
+            sizes = frozenset(zip(self.source.family, map(int.bit_count, self.rows)))
+            self._hash = hash((self.source, self.target, sizes))
         return self._hash
 
     def __repr__(self):
-        return f"ApproximableRelation({len(self.pairs)} pairs)"
+        return f"ApproximableRelation({sum(map(int.bit_count, self.rows))} pairs)"
 
     def __contains__(self, pair):
-        F, G = pair
-        return (frozenset(F), frozenset(G)) in self.pairs
+        return (frozenset(pair[0]), frozenset(pair[1])) in self.pairs
 
     @property
     def is_validated(self):
-        rep = validate_approximable(self)
-        return rep.ok
+        return validate_approximable(self).ok
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,10 @@ _VALIDATION_MEMO = {}
 
 
 def _content_key(rel):
-    return (rel.source, rel.target, rel.pairs)
+    # the frame, not the spaces: equal spaces may list a family in
+    # another order, and rows read family indices
+    src, tgt = rel.source, rel.target
+    return (src.base, src.family, tgt.base, tgt.family, rel.rows)
 
 
 def validate_approximable(rel):
@@ -152,25 +161,18 @@ def _masks(index_lists):
     return [sum(1 << k for k in ks) for ks in index_lists]
 
 
-def _row_masks(rel):
-    """Per source index i, the bitmask of the target indices paired with i."""
-    row = [0] * len(rel.source.family)
-    for i, js in rel._rows.items():
-        row[i] = sum(1 << j for j in js)
-    return row
-
-
 def _lowest(mask):
     return (mask & -mask).bit_length() - 1
 
 
-def _undirected(rel, row, up2):
+def _undirected(rows, up2):
     """The first (i, j, j2), rows ascending, where G_j and G_j2 have no
     common bound among the targets of i (``up2[j]`` holds the j3 with G_j
     inside upper(G_j3)); None when every row is directed."""
-    for i, js in rel._rows.items():
+    for i, row in enumerate(rows):
+        js = list(bits(row))
         for a, j in enumerate(js):
-            bounds = up2[j] & row[i]
+            bounds = up2[j] & row
             for j2 in js[a:]:
                 if not bounds & up2[j2]:
                     return i, j, j2
@@ -178,13 +180,10 @@ def _undirected(rel, row, up2):
 
 
 def _validate(rel):
-    """The five axioms on row bitmasks: ``row[i]`` has bit j set when the
-    relation holds (i, j).  Rows are checked in ascending order and a
-    counterexample names the lowest missing index."""
+    """The five axioms on the row bitmasks ``rel.rows``.  Rows are checked
+    in ascending order and a counterexample names the lowest missing index."""
     src, tgt = rel.source, rel.target
-    n1 = len(src.family)
-    rows = rel._rows
-    row = _row_masks(rel)
+    rows = rel.rows
     conds = [None] * 5
 
     def fail(k, counter):
@@ -192,8 +191,8 @@ def _validate(rel):
         return ApproximabilityReport(False, k, counter, tuple(conds))
 
     # (1) every source member relates to something
-    for i in range(n1):
-        if not row[i]:
+    for i, row in enumerate(rows):
+        if not row:
             return fail(1, (src.family[i],))
     conds[0] = True
 
@@ -205,33 +204,33 @@ def _validate(rel):
     down2, up2 = _masks(downs2), _masks(ups2)
 
     # (2) left absorption: F inside upper(F') propagates the pair to F'
-    for i in range(n1):
+    for i, row in enumerate(rows):
         for i2 in ups1[i]:
-            missing = row[i] & ~row[i2]
+            missing = row & ~rows[i2]
             if missing:
                 return fail(2, (src.family[i], src.family[i2], tgt.family[_lowest(missing)]))
     conds[1] = True
 
     # (3) right absorption: G' inside upper(G) propagates the pair to G'
-    for i, js in rows.items():
-        for j in js:
-            missing = down2[j] & ~row[i]
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            missing = down2[j] & ~row
             if missing:
                 return fail(3, (src.family[i], tgt.family[j], tgt.family[_lowest(missing)]))
     conds[2] = True
 
     # (4) interpolation: each pair factors through a smaller F' and larger G'
-    for i, js in rows.items():
+    for i, row in enumerate(rows):
         below = 0
         for i2 in downs1[i]:
-            below |= row[i2]
-        for j in js:
+            below |= rows[i2]
+        for j in bits(row):
             if not below & up2[j]:
                 return fail(4, (src.family[i], tgt.family[j]))
     conds[3] = True
 
     # (5) right directedness: paired targets admit a common bound
-    bad = _undirected(rel, row, up2)
+    bad = _undirected(rows, up2)
     if bad:
         i, j, j2 = bad
         return fail(5, (src.family[i], tgt.family[j], tgt.family[j2]))
@@ -249,9 +248,9 @@ def identity_relation(space):
     """Pairs (F, G) with G inside the upper approximation of F."""
     require_validated(space)
     fmasks = space._fmasks
-    ipairs = [(i, j) for i, rf in enumerate(space._rmasks)
-              for j, gm in enumerate(fmasks) if gm & ~rf == 0]
-    return ApproximableRelation._from_indices(space, space, ipairs)
+    rows = [sum(1 << j for j, gm in enumerate(fmasks) if gm & ~rf == 0)
+            for rf in space._rmasks]
+    return ApproximableRelation._from_rows(space, space, rows)
 
 
 def compose(second, first):
@@ -262,21 +261,12 @@ def compose(second, first):
     valid relations, so a failure there means a bug.  Invalid inputs
     compose structurally without the guarantee.
     """
-    mid_rows = second._rows
-    if first.target is not second.source:
-        if first.target != second.source:
-            raise SpaceMismatch("inner spaces differ; relations do not compose")
-        # an equal space may list its family in another order
-        findex = second.source._findex
-        mid_rows = {j: mid_rows.get(findex[G], ())
-                    for j, G in enumerate(first.target.family)}
-    ipairs = []
-    for i, js in first._rows.items():
-        seen = set()
-        for j in js:
-            seen.update(mid_rows.get(j, ()))
-        ipairs += [(i, k) for k in seen]
-    out = ApproximableRelation._from_indices(first.source, second.target, ipairs)
+    if first.target is not second.source and first.target != second.source:
+        raise SpaceMismatch("inner spaces differ; relations do not compose")
+    # an equal middle space may list its family in another order
+    mid = second.on(first.target, second.target).rows
+    rows = [union_of(mid, row) for row in first.rows]
+    out = ApproximableRelation._from_rows(first.source, second.target, rows)
     if validate_approximable(first).ok and validate_approximable(second).ok:
         rep = validate_approximable(out)
         if not rep.ok:
@@ -299,27 +289,39 @@ class FourForms:
 
 
 def equivalent_forms(rel, F, G):
-    F, G = frozenset(F), frozenset(G)
     src, tgt = rel.source, rel.target
     i = src.family_index(F)
     j = tgt.family_index(G)
-    theta = rel._ipairs
+    rows = rel.rows
     fm1, r1 = src._fmasks, src._rmasks
     fm2, r2 = tgt._fmasks, tgt._rmasks
-    direct = (i, j) in theta
-    via_source = any((i2, j) in theta
-                     for i2 in range(len(fm1)) if fm1[i2] & ~r1[i] == 0)
-    via_target = any((i, j2) in theta
-                     for j2 in range(len(fm2)) if fm2[j] & ~r2[j2] == 0)
-    via_both = any((i2, j2) in theta
-                   for i2 in range(len(fm1)) if fm1[i2] & ~r1[i] == 0
-                   for j2 in range(len(fm2)) if fm2[j] & ~r2[j2] == 0)
-    return FourForms(direct, via_source, via_target, via_both)
+    # sources F' inside upper(F), and the mask of targets G' with G inside upper(G')
+    below = [i2 for i2 in range(len(fm1)) if fm1[i2] & ~r1[i] == 0]
+    above = sum(1 << j2 for j2 in range(len(fm2)) if fm2[j] & ~r2[j2] == 0)
+    return FourForms(direct=bool(rows[i] >> j & 1),
+                     via_source=any(rows[i2] >> j & 1 for i2 in below),
+                     via_target=bool(rows[i] & above),
+                     via_both=any(rows[i2] & above for i2 in below))
 
 
 # --------------------------------------------------------------------------
 # relations <-> Scott-continuous maps
 # --------------------------------------------------------------------------
+
+def _image_masks(rel, masks):
+    """Per source-universe bitmask E in ``masks``, the union of upper(G)
+    over the pairs (F, G) of ``rel`` with F inside E."""
+    r2 = rel.target._rmasks
+    reach = [(fm, union_of(r2, row)) for fm, row in zip(rel.source._fmasks, rel.rows)]
+    out = []
+    for emask in masks:
+        acc = 0
+        for fm, up in reach:
+            if fm & ~emask == 0:
+                acc |= up
+        out.append(acc)
+    return out
+
 
 def to_map(rel, config=None):
     """The Scott-continuous map a validated relation induces on closed sets.
@@ -332,17 +334,11 @@ def to_map(rel, config=None):
     cs1 = cf_closed_sets(rel.source, config=config)
     cs2 = cf_closed_sets(rel.target, config=config)
     closed2 = set(cs2.closed_sets)
-    fm1 = rel.source._fmasks
-    r2 = rel.target._rmasks
+    base1, base2 = rel.source.base, rel.target.base
+    images = _image_masks(rel, [base1.mask(E) for E in cs1.closed_sets])
     graph = {}
-    for E in cs1.closed_sets:
-        emask = rel.source.base.mask(E)
-        out = 0
-        for i, js in rel._rows.items():
-            if fm1[i] & ~emask == 0:
-                for j in js:
-                    out |= r2[j]
-        value = rel.target.base.subset(out)
+    for E, out in zip(cs1.closed_sets, images):
+        value = base2.subset(out)
         if value not in closed2:
             raise PostconditionFailed("induced map produced a non-closed value")
         graph[E] = value
@@ -365,11 +361,11 @@ def from_map(f, source_space, target_space, config=None):
     if not is_scott_continuous(f):
         raise MapNotContinuous("map fails the directed-supremum check")
     fmasks = target_space._fmasks
-    ipairs = []
-    for i, rf in enumerate(source_space._rmasks):
+    rows = []
+    for rf in source_space._rmasks:
         imask = target_space.base.mask(f(source_space.base.subset(rf)))
-        ipairs += [(i, j) for j, gm in enumerate(fmasks) if gm & ~imask == 0]
-    rel = ApproximableRelation._from_indices(source_space, target_space, ipairs)
+        rows.append(sum(1 << j for j, gm in enumerate(fmasks) if gm & ~imask == 0))
+    rel = ApproximableRelation._from_rows(source_space, target_space, rows)
     rep = validate_approximable(rel)
     if not rep.ok:
         raise PostconditionFailed(
@@ -400,26 +396,25 @@ def validate_topological_approximable(rel):
     if not (is_topological_cf(rel.source) and is_topological_cf(rel.target)):
         raise NotTopological("both spaces must be topological CF spaces")
     src, tgt = rel.source, rel.target
-    rows = rel._rows
-    row = _row_masks(rel)
+    rows = rel.rows
 
-    for i in range(len(row)):
-        if not row[i]:
+    for i, row in enumerate(rows):
+        if not row:
             return TopologicalApproximabilityReport(False, 1, (src.family[i],))
 
     ups1, downs2 = _absorption(src, tgt)
     up2 = _masks(_absorption(tgt, src)[0])
     down2 = _masks(downs2)
-    for i, js in rows.items():
-        for j in js:
+    for i, row in enumerate(rows):
+        for j in bits(row):
             for i2 in ups1[i]:
-                missing = down2[j] & ~row[i2]
+                missing = down2[j] & ~rows[i2]
                 if missing:
                     return TopologicalApproximabilityReport(
                         False, 2, (src.family[i], src.family[i2], tgt.family[j],
                                    tgt.family[_lowest(missing)]))
 
-    bad = _undirected(rel, row, up2)
+    bad = _undirected(rows, up2)
     if bad:
         i, j, j2 = bad
         return TopologicalApproximabilityReport(

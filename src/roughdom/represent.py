@@ -45,6 +45,7 @@ from .poset import (
 )
 from .relation import (
     ApproximableRelation,
+    _image_masks,
     compose,
     identity_relation,
     validate_approximable,
@@ -171,13 +172,12 @@ def omega_from_map(g, config=None):
         raise MapNotContinuous("map fails the directed-supremum check")
     src = induce_cf_from_poset(g.source, config)
     tgt = induce_cf_from_poset(g.target, config)
-    ipairs = []
-    for i, F in enumerate(src.space.family):
+    rows = []
+    for F in src.space.family:
         gc = g(src.top(F))
-        for j, G in enumerate(tgt.space.family):
-            if way_below(g.target, tgt.top(G), gc):
-                ipairs.append((i, j))
-    rel = ApproximableRelation._from_indices(src.space, tgt.space, ipairs)
+        rows.append(sum(1 << j for j, G in enumerate(tgt.space.family)
+                        if way_below(g.target, tgt.top(G), gc)))
+    rel = ApproximableRelation._from_rows(src.space, tgt.space, rows)
     rep = validate_approximable(rel)
     if not rep.ok:
         raise PostconditionFailed(f"map-induced relation failed axiom ({rep.failing})")
@@ -199,15 +199,10 @@ def map_from_omega(rel, config=None):
         raise RelationNotValidated("the relation fails the morphism axioms")
     L1 = _origin_poset(rel.source)
     L2 = _origin_poset(rel.target)
+    below = [rel.source.base.mask(frozenset(y for y in L1.elements if way_below(L1, y, x)))
+             for x in L1.elements]
     graph = {}
-    for x in L1.elements:
-        dda = rel.source.base.mask(
-            frozenset(y for y in L1.elements if way_below(L1, y, x)))
-        out = 0
-        for i, js in rel._rows.items():
-            if rel.source._fmasks[i] & ~dda == 0:
-                for j in js:
-                    out |= rel.target._rmasks[j]
+    for x, out in zip(L1.elements, _image_masks(rel, below)):
         value = supremum(L2, rel.target.base.subset(out))
         if value is None:
             raise PostconditionFailed("induced map value has no supremum")

@@ -27,7 +27,7 @@ from .errors import (
     WitnessInvalid,
 )
 from .gaspace import relation_properties
-from .ordering import iter_subset_masks
+from .ordering import is_directed_under, iter_subset_masks, union_of
 from .poset import MonotoneMap, is_scott_continuous, pointwise_leq, supremum
 from .relation import ApproximableRelation, identity_relation, validate_approximable
 
@@ -47,6 +47,8 @@ class WitnessFamily:
         for rel in relations:
             if rel.source != space or rel.target != space:
                 raise WitnessInvalid("witness relations must be endo-relations on the space")
+        # the checks read rows against the space's own family indices
+        relations = tuple(rel.on(space, space) for rel in relations)
         members = set(space.family)
         for ms in separators:
             for M in ms:
@@ -63,44 +65,32 @@ class WitnessFamily:
 def check_fs1(w):
     """The union of the relations recovers the identity relation exactly."""
     require_validated(w.space)
-    union = frozenset().union(*[rel.pairs for rel in w.relations])
-    return union == identity_relation(w.space).pairs
+    union = [0] * len(w.space.family)
+    for rel in w.relations:
+        union = [u | row for u, row in zip(union, rel.rows)]
+    return tuple(union) == identity_relation(w.space).rows
+
+
+def _included(r1, r2):
+    return all(a & ~b == 0 for a, b in zip(r1.rows, r2.rows))
 
 
 def is_directed_relation_family(w):
     """Every two members are below a third under pair-set inclusion."""
-    rels = w.relations
-    for a in range(len(rels)):
-        for b in range(a, len(rels)):
-            both = rels[a].pairs | rels[b].pairs
-            if not any(both <= r.pairs for r in rels):
-                return False
-    return True
+    return is_directed_under(w.relations, _included)
 
 
 def _fs2_core(w, strong):
     space = w.space
     fm, rm = space._fmasks, space._rmasks
-    n = len(fm)
     for rel, seps in zip(w.relations, w.separators):
         sep_idx = [space._findex[M] for M in seps]
-        for i in range(n):
-            js = rel._rows.get(i, ())
-            targets = 0
-            for j in js:
-                targets |= fm[j]
-            found = False
-            for m in sep_idx:
-                if not js:
-                    found = True  # vacuous: no paired target to bound
-                    break
-                if targets & ~rm[m]:
-                    continue
-                bound_ok = (fm[m] & ~rm[i] == 0) if strong else (rm[m] & ~rm[i] == 0)
-                if bound_ok:
-                    found = True
-                    break
-            if not found:
+        for i, row in enumerate(rel.rows):
+            # an empty row is bounded vacuously, given any separator
+            targets = union_of(fm, row)
+            if not any(targets & ~rm[m] == 0
+                       and (not row or (fm[m] if strong else rm[m]) & ~rm[i] == 0)
+                       for m in sep_idx):
                 return False
     return True
 
@@ -351,11 +341,8 @@ def delta_family(sel, config=None):
             raise PostconditionFailed("contraction range strays outside member images")
         out.append((K, f))
     maps = [f for _, f in out]
-    for a in range(len(maps)):
-        for b in range(a, len(maps)):
-            if not any(pointwise_leq(maps[a], h) and pointwise_leq(maps[b], h)
-                       for h in maps):
-                raise PostconditionFailed("contraction family is not directed")
+    if not is_directed_under(maps, pointwise_leq):
+        raise PostconditionFailed("contraction family is not directed")
     for E in cs.closed_sets:
         if supremum(cs.poset, {f(E) for f in maps}) != E:
             raise PostconditionFailed("contraction family does not sup to the identity")

@@ -10,8 +10,9 @@ import pytest
 from conftest import chain
 from roughdom import documents as docs
 from roughdom.cli import main
-from roughdom.cfspace import CFSpace
+from roughdom.cfspace import CFSpace, validate_cf
 from roughdom.gaspace import GASpace
+from roughdom.relation import identity_relation
 from roughdom.represent import induce_cf_from_poset
 
 
@@ -71,6 +72,21 @@ def test_check_pipelines(chain3_paths):
         assert main(["check", theorem, str(poset_path)]) == 0
     assert main(["check", "self-iso", str(space_path)]) == 0
     assert main(["check", "roundtrip-omega", str(poset_path), str(poset_path)]) == 0
+
+
+def test_self_iso_reads_witness_relations_on_reordered_families(tmp_path, chain3_paths):
+    # every relation in a witness document carries its own inline spaces;
+    # one that lists the family in reverse is still a relation on the space
+    _, space_path = chain3_paths
+    space = docs.load_space(space_path)
+    flipped = CFSpace(space.base, tuple(reversed(space.family)))
+    for sp in (space, flipped):
+        validate_cf(sp)
+    doc = {"relations": [docs.relation_to_doc(identity_relation(sp)) for sp in (space, flipped)],
+           "separators": [[sorted(M) for M in space.family]] * 2}
+    witness_path = tmp_path / "chain3.witness.json"
+    docs.write_document(witness_path, doc)
+    assert main(["check", "self-iso", str(space_path), str(witness_path)]) == 0
 
 
 def test_check_functors_and_equivalence(tmp_path, chain2):

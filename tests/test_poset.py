@@ -17,6 +17,7 @@ from roughdom.errors import (
 )
 from roughdom.config import RunConfig
 from roughdom.corpus import random_monotone_map, seeded_rng
+from roughdom.ordering import is_directed_under
 from roughdom.poset import (
     FinitePoset,
     MonotoneMap,
@@ -122,6 +123,30 @@ def test_directed_forms_agree_small(posets_to_6):
         for P in posets:
             for S in all_subsets(P.elements):
                 assert is_directed(P, S) == is_directed_definitional(P, S)
+
+
+def test_directed_under_agrees_with_triple_loop():
+    # the greatest-item scan against the literal form, a third item above
+    # each pair, on subset inclusion and on random preorders
+    rng = seeded_rng(29)
+    subset = lambda a, b: a & ~b == 0
+    verdicts = set()
+    for _ in range(400):
+        items = [rng.randrange(16) for _ in range(rng.randrange(1, 7))]
+        # a random relation closed to a preorder
+        pre = {(a, b) for a in items for b in items if a == b or rng.random() < 0.4}
+        for c in items:
+            pre |= {(a, b) for a in items for b in items if (a, c) in pre and (c, b) in pre}
+        for leq in (subset, lambda a, b: (a, b) in pre):
+            literal = all(any(leq(a, c) and leq(b, c) for c in items)
+                          for a in items for b in items)
+            assert is_directed_under(items, leq) == literal
+            verdicts.add(literal)
+    assert verdicts == {True, False}
+    # two disjoint masks have no common superset among themselves
+    assert not is_directed_under([0b01, 0b10], subset)
+    assert is_directed_under([0b01, 0b10, 0b11], subset)
+    assert not is_directed_under([], subset)
 
 
 def test_supremum_examples(chain3):
@@ -333,6 +358,12 @@ def test_approximate_identity_examples(chain2):
     assert is_approximate_identity(chain2, [identity_map(chain2)])
     assert not is_approximate_identity(chain2, [const])
     assert is_approximate_identity(chain2, [const, identity_map(chain2)])
+    # two incomparable maps whose pointwise supremum is the identity
+    P = chain(3)
+    f = MonotoneMap(P, P, {"0": "0", "1": "0", "2": "2"})
+    g = MonotoneMap(P, P, {"0": "0", "1": "1", "2": "1"})
+    assert not is_approximate_identity(P, [f, g])
+    assert is_approximate_identity(P, [f, g, identity_map(P)])
     with pytest.raises(EmptyFamily):
         is_approximate_identity(chain2, [])
 

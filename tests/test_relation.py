@@ -2,10 +2,12 @@
 
 import pytest
 
+from conftest import chain
 from roughdom.cfspace import CFSpace, cf_closed_sets, is_topological_cf, validate_cf
 from roughdom.corpus import random_cf_space, random_monotone_map, seeded_rng
 from roughdom.errors import SpaceMismatch
 from roughdom.gaspace import GASpace
+from roughdom.ordering import bits
 from roughdom.poset import MonotoneMap, identity_map, is_directed
 from roughdom.relation import (
     ApproximableRelation,
@@ -394,18 +396,19 @@ def test_index_constructor_agrees_with_public_constructor(posets_to_4):
         if rng.random() < 0.5:
             # valid: the relation of a random continuous map
             g = random_monotone_map(rng, src.origin, tgt.origin)
-            ipairs = omega_from_map(g)._ipairs
+            rows = omega_from_map(g).rows
         else:
             # mostly invalid: random index pairs
-            ipairs = {(rng.randrange(n1), rng.randrange(n2))
-                      for _ in range(rng.randrange(n1 * n2 + 1))}
-        fast = ApproximableRelation._from_indices(src.space, tgt.space, ipairs)
+            rows = [0] * n1
+            for _ in range(rng.randrange(n1 * n2 + 1)):
+                rows[rng.randrange(n1)] |= 1 << rng.randrange(n2)
+        fast = ApproximableRelation._from_rows(src.space, tgt.space, rows)
         public = ApproximableRelation(
             src.space, tgt.space,
-            [(src.space.family[i], tgt.space.family[j]) for i, j in ipairs])
+            [(src.space.family[i], tgt.space.family[j])
+             for i, row in enumerate(rows) for j in bits(row)])
         assert fast.pairs == public.pairs
-        assert fast._ipairs == public._ipairs
-        assert fast._rows == public._rows
+        assert fast.rows == public.rows == tuple(rows)
         assert fast == public and hash(fast) == hash(public)
         verdicts.add(validate_approximable(fast).ok)
     assert verdicts == {True, False}
@@ -417,8 +420,46 @@ def test_equality_across_reordered_equal_spaces(chain3_space):
     assert flipped == chain3_space and flipped is not chain3_space
     ident, flipped_ident = identity_relation(chain3_space), identity_relation(flipped)
     # same content, different family indices
-    assert ident._ipairs != flipped_ident._ipairs
+    assert ident.rows != flipped_ident.rows
     assert ident == flipped_ident and hash(ident) == hash(flipped_ident)
+    assert flipped_ident.on(chain3_space, chain3_space).rows == ident.rows
+    assert ident.on(flipped, flipped).rows == flipped_ident.rows
     # composing through the reordered middle space matches its members by content
     assert compose(flipped_ident, ident) == ident
     assert compose(ident, flipped_ident) == ident
+
+
+def test_validation_memo_keys_the_frame(chain3_space):
+    # the memo is keyed by content, but rows read family indices: the
+    # identity's rows over the reversed family are another relation
+    flipped = CFSpace(chain3_space.base, tuple(reversed(chain3_space.family)))
+    validate_cf(flipped)
+    ident = identity_relation(chain3_space)
+    assert validate_approximable(ident).ok
+    moved = ApproximableRelation._from_rows(flipped, flipped, ident.rows)
+    report = validate_approximable(moved)
+    assert not report.ok and report.failing == 2
+
+
+def test_topological_validator_rechecks_each_space_once(monkeypatch):
+    import roughdom.cfspace as cfspace
+
+    rng = seeded_rng(97)
+    # fresh space objects, which no earlier test has checked
+    induced = induce_cf_from_poset(chain(3)).space
+    spaces = [CFSpace(induced.base, induced.family) for _ in range(2)]
+    for space in spaces:
+        validate_cf(space)
+    checked = []
+    real = cfspace._check_cf
+
+    def counting(space, *args, **kwargs):
+        checked.append(space)
+        return real(space, *args, **kwargs)
+
+    monkeypatch.setattr(cfspace, "_check_cf", counting)
+    for _ in range(50):
+        src, tgt = rng.choice(spaces), rng.choice(spaces)
+        chosen = [(F, G) for F in src.family for G in tgt.family if rng.random() < 0.5]
+        validate_topological_approximable(ApproximableRelation(src, tgt, chosen))
+    assert sorted(map(id, checked)) == sorted(map(id, spaces))

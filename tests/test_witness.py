@@ -321,3 +321,22 @@ def test_classification_requires_valid_relations(chain3_induced):
 
     if not validate_approximable(partial).ok:
         assert not classify_space(space, w).fs
+
+
+def test_witness_checks_read_relations_on_the_witness_space(posets_to_4):
+    # a relation on an equal space whose family is listed in reverse is
+    # the same relation, and gives the same verdicts
+    differs = 0
+    for size in (2, 3, 4):
+        for P in posets_to_4[size]:
+            space = induce_cf_from_poset(P).space
+            flipped = CFSpace(space.base, tuple(reversed(space.family)))
+            validate_cf(flipped)
+            w = WitnessFamily(space, (identity_relation(flipped),), (space.family,))
+            ref = default_witness(space)
+            assert w.relations == ref.relations
+            for check in (check_fs1, check_fs2, check_fs2_strong):
+                assert check(w) == check(ref)
+            assert classify_space(space, w) == classify_space(space, ref)
+            differs += identity_relation(flipped).rows != ref.relations[0].rows
+    assert differs >= 20
