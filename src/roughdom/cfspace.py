@@ -47,7 +47,7 @@ class CFSpace:
     """
 
     __slots__ = ("base", "family", "_findex", "_fmasks", "_rmasks",
-                 "_validation", "_closed", "_topological", "_hash")
+                 "_validation", "_closed", "_hash")
 
     def __init__(self, base, family):
         if not isinstance(base, GASpace):
@@ -71,7 +71,6 @@ class CFSpace:
         self._rmasks = tuple(base.upper_mask(m) for m in self._fmasks)
         self._validation = None
         self._closed = None
-        self._topological = None
         self._hash = None
 
     def __eq__(self, other):
@@ -172,13 +171,6 @@ def validate_cf(space, record_witnesses=False, config=None, oracle=False):
     if oracle and len(space.universe) > cfg.cap_universe:
         raise SizeCapExceeded(
             f"exhaustive validation needs |U| <= {cfg.cap_universe}")
-    report = _check_cf(space, oracle, record_witnesses)
-    space._validation = report
-    return report
-
-
-def _check_cf(space, oracle, record_witnesses):
-    """The re-covering check behind ``validate_cf``; stores nothing."""
     transitive = relation_properties(space.base).transitive
     counterexamples = []
     witnesses = {} if record_witnesses else None
@@ -198,7 +190,7 @@ def _check_cf(space, oracle, record_witnesses):
                     (space.family[fi], space.base.subset(k)))
             elif record_witnesses:
                 witnesses[(space.family[fi], space.base.subset(k))] = space.family[hit]
-    return CFValidationReport(
+    report = CFValidationReport(
         ok=transitive and not counterexamples,
         transitive=transitive,
         counterexamples=tuple(counterexamples),
@@ -206,6 +198,8 @@ def _check_cf(space, oracle, record_witnesses):
         exhaustive=oracle,
         witnesses=witnesses,
     )
+    space._validation = report
+    return report
 
 
 def require_validated(space):
@@ -271,20 +265,9 @@ def is_cf_closed(space, E, record_witnesses=False):
     return ClosednessCheck(k is None, frozenset(E), counterexample, witnesses)
 
 
-def cf_closed_sets_masks(space, method="image", config=None):
-    """Closed sets as masks, by the requested algorithm."""
-    cfg = resolve(config)
-    n = len(space.universe)
-    if method == "brute":
-        if n > cfg.cap_universe:
-            raise SizeCapExceeded(
-                f"brute-force closed-set scan needs |U| <= {cfg.cap_universe}")
-        return sorted(m for m in iter_subset_masks(n)
-                      if _uncovered_chunk(space, m) is None)
-    if method == "image":
-        cands = sorted(set(space._rmasks))
-        return sorted(m for m in cands if _uncovered_chunk(space, m) is None)
-    raise ValueError(f"unknown method {method!r}")
+def _closed_masks(space, candidates):
+    """The closed sets among the candidate masks, ascending."""
+    return sorted(m for m in candidates if _uncovered_chunk(space, m) is None)
 
 
 @dataclass(frozen=True)
@@ -317,8 +300,8 @@ def cf_closed_sets(space, config=None):
     cross = len(space.universe) <= cfg.cap_universe
     if space._closed is not None and (space._closed.cross_checked or not cross):
         return space._closed
-    masks = cf_closed_sets_masks(space, "image", cfg)
-    if cross and cf_closed_sets_masks(space, "brute", cfg) != masks:
+    masks = _closed_masks(space, set(space._rmasks))
+    if cross and _closed_masks(space, iter_subset_masks(len(space.universe))) != masks:
         raise PostconditionFailed(
             "closed-set enumeration mismatch between brute force and image algorithm")
     index = {x: i for i, x in enumerate(space.universe)}
@@ -359,17 +342,10 @@ def way_below_closed(space, E1, E2):
 
 
 def is_topological_cf(space):
-    """Preorder relation makes a validated space topological.
+    """A validated space is topological when its relation is a preorder.
 
-    Re-runs the admissibility check, once per space, to confirm that a
-    preorder plus any family is automatically consistent; a failure there
-    would be a bug, not a property of the input.
+    A preorder makes any family consistent (G = F re-covers every chunk
+    of upper(F)), which the tests check on seeded preorder spaces.
     """
     require_validated(space)
-    if space._topological is None:
-        preorder = relation_properties(space.base).preorder
-        # a fresh fast check that leaves the stored report as it is
-        if preorder and not _check_cf(space, oracle=False, record_witnesses=False).ok:
-            raise PostconditionFailed("a preorder space failed the consistency re-check")
-        space._topological = preorder
-    return space._topological
+    return relation_properties(space.base).preorder

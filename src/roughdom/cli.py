@@ -186,11 +186,11 @@ def cmd_closed_sets(args, config, reporter):
         return EXIT_FAIL
     t0 = time.perf_counter()
     cs = cf_closed_sets(space, config=config)
+    if args.dot:
+        docs.write_text(args.dot, docs.closed_sets_dot(cs))
     reporter.add("closed-sets", "pass", timing=time.perf_counter() - t0,
                  detail=f"count={len(cs)} cross_checked={cs.cross_checked}",
                  listing=_sorted_sets(cs.closed_sets, space.universe))
-    if args.dot:
-        Path(args.dot).write_text(docs.closed_sets_dot(cs), encoding="utf-8")
     return EXIT_PASS
 
 
@@ -328,7 +328,10 @@ def cmd_check(args, config, reporter):
 
 def cmd_gen(args, config, reporter):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IOFailure(f"cannot create {out}: {exc}") from exc
     t0 = time.perf_counter()
     counts = {}
     if args.kind == "posets":

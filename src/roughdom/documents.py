@@ -275,13 +275,16 @@ def document_kind(path):
     raise ParseFailure(f"{path}: unknown document extension")
 
 
-def write_document(path, doc):
+def write_text(path, text):
     path = Path(path)
     try:
-        path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n",
-                        encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise IOFailure(f"cannot write {path}: {exc}") from exc
+
+
+def write_document(path, doc):
+    write_text(path, json.dumps(doc, indent=2, sort_keys=False) + "\n")
 
 
 # --------------------------------------------------------------------------

@@ -78,10 +78,6 @@ class RelationNotValidated(RoughdomError):
     pass
 
 
-class MapNotContinuous(RoughdomError):
-    pass
-
-
 class NotTopological(RoughdomError):
     pass
 

@@ -76,10 +76,6 @@ class GASpace:
     def subset(self, mask):
         return unmask(mask, self.universe)
 
-    @property
-    def full_mask(self):
-        return (1 << len(self.universe)) - 1
-
     # -- successor / predecessor views --------------------------------------
 
     def successors(self, x):

@@ -20,13 +20,6 @@ def bits(mask):
         i += 1
 
 
-def mask_of(items, index):
-    m = 0
-    for x in items:
-        m |= 1 << index[x]
-    return m
-
-
 def union_of(masks, sel):
     """The union of ``masks[j]`` over the set bits j of ``sel``."""
     out = 0
@@ -60,10 +53,6 @@ def set_key(s, index):
     return (len(idx), tuple(idx))
 
 
-def sorted_sets(sets, index):
-    return tuple(sorted(sets, key=lambda s: set_key(s, index)))
-
-
 def iter_subset_masks(n):
     """All subsets of ``range(n)`` as masks, by (size, lexicographic)."""
     for size in range(n + 1):
@@ -82,10 +71,3 @@ def iter_submasks(mask):
         if sub == 0:
             return
         sub = (sub - 1) & mask
-
-
-def iter_subsets(universe):
-    """All subsets of an ordered universe as frozensets, canonical order."""
-    n = len(universe)
-    for m in iter_subset_masks(n):
-        yield unmask(m, universe)

@@ -252,14 +252,8 @@ def is_directed_definitional(P, S):
 
 def supremum(P, S):
     """Least upper bound of S, or None when it does not exist."""
-    _require_subset(P, S)
-    ub = (1 << len(P.elements)) - 1
-    for x in S:
-        ub &= P._up_masks[P.index(x)]
-    for i in bits(ub):
-        if ub & ~P._up_masks[i] == 0:
-            return P.elements[i]
-    return None
+    i = P._sup_index_of_mask(P.mask(S))
+    return None if i is None else P.elements[i]
 
 
 def way_below(P, x, y, oracle=False, config=None):
@@ -384,9 +378,20 @@ class MonotoneMap:
         for a, b in source.leq_pairs:
             if not (up[index[g[a]]] >> index[g[b]]) & 1:
                 raise NotMonotone(f"map breaks order on {a!r} <= {b!r}")
+        self._fill(source, target, g)
+
+    @classmethod
+    def _from_graph(cls, source, target, graph):
+        """The map with the dict ``graph``, unchecked: for builders whose
+        graph is total and monotone by construction."""
+        f = cls.__new__(cls)
+        f._fill(source, target, graph)
+        return f
+
+    def _fill(self, source, target, graph):
         self.source = source
         self.target = target
-        self.graph = g
+        self.graph = graph
         self._hash = None
 
     def __call__(self, x):
@@ -418,14 +423,16 @@ class MonotoneMap:
 
 
 def identity_map(P):
-    return MonotoneMap(P, P, {x: x for x in P.elements})
+    return MonotoneMap._from_graph(P, P, {x: x for x in P.elements})
 
 
 def compose_maps(g, f):
-    """g after f."""
+    """g after f; a composite of monotone maps is monotone."""
     if f.target != g.source:
         raise PreconditionViolated("maps do not compose: target/source mismatch")
-    return MonotoneMap(f.source, g.target, {x: g(f(x)) for x in f.source.elements})
+    fg, gg = f.graph, g.graph
+    return MonotoneMap._from_graph(f.source, g.target,
+                                   {x: gg[fg[x]] for x in f.source.elements})
 
 
 def pointwise_leq(f, g):
@@ -437,18 +444,24 @@ def pointwise_leq(f, g):
 
 
 def pointwise_sup(family):
-    """Pointwise least upper bound of a family of maps, or None."""
+    """Pointwise least upper bound of a family of maps, or None.
+
+    A pointwise supremum of monotone maps is monotone: each member's
+    value at x lies below its value at y >= x, hence below the sup there.
+    """
     family = list(family)
     if not family:
         raise EmptyFamily("cannot take the supremum of no maps")
     first = family[0]
+    if any(f.source != first.source or f.target != first.target for f in family):
+        raise PreconditionViolated("maps live between different posets")
     graph = {}
     for x in first.source.elements:
         s = supremum(first.target, {f(x) for f in family})
         if s is None:
             return None
         graph[x] = s
-    return MonotoneMap(first.source, first.target, graph)
+    return MonotoneMap._from_graph(first.source, first.target, graph)
 
 
 def is_scott_continuous(f, oracle=False, config=None):
@@ -483,7 +496,8 @@ def monotone_maps(P, Q, config=None):
         if len(out) > cfg.cap_hom:
             raise SizeCapExceeded(f"hom-set exceeds cap_hom={cfg.cap_hom}")
         if i == len(order):
-            out.append(MonotoneMap(P, Q, dict(partial)))
+            # each image was chosen above the images of the elements below
+            out.append(MonotoneMap._from_graph(P, Q, dict(partial)))
             return
         x = order[i]
         below = [y for y in order[:i] if P.leq(y, x)]

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from .cfspace import cf_closed_sets, is_topological_cf, require_validated
 from .errors import (
     InvalidRelation,
-    MapNotContinuous,
     NotTopological,
     PostconditionFailed,
     RelationNotValidated,
     SpaceMismatch,
 )
 from .ordering import bits, union_of
-from .poset import MonotoneMap, is_scott_continuous
+from .poset import MonotoneMap
 
 
 class ApproximableRelation:
@@ -342,10 +341,7 @@ def to_map(rel, config=None):
         if value not in closed2:
             raise PostconditionFailed("induced map produced a non-closed value")
         graph[E] = value
-    f = MonotoneMap(cs1.poset, cs2.poset, graph)
-    if not is_scott_continuous(f):
-        raise PostconditionFailed("induced map is not Scott continuous")
-    return f
+    return MonotoneMap(cs1.poset, cs2.poset, graph)
 
 
 def from_map(f, source_space, target_space, config=None):
@@ -358,8 +354,6 @@ def from_map(f, source_space, target_space, config=None):
     cs2 = cf_closed_sets(target_space, config=config)
     if f.source != cs1.poset or f.target != cs2.poset:
         raise SpaceMismatch("map does not run between the stated closed-set posets")
-    if not is_scott_continuous(f):
-        raise MapNotContinuous("map fails the directed-supremum check")
     fmasks = target_space._fmasks
     rows = []
     for rf in source_space._rmasks:

@@ -19,7 +19,6 @@ from .cfspace import CFSpace, cf_closed_sets, require_validated, validate_cf
 from .errors import (
     EmptyPoset,
     IsoCheckFailed,
-    MapNotContinuous,
     NoCoveringIndex,
     PostconditionFailed,
     PreconditionViolated,
@@ -35,7 +34,6 @@ from .poset import (
     compose_maps,
     identity_map,
     is_algebraic_domain,
-    is_scott_continuous,
     is_finitely_separating,
     order_isomorphism,
     supremum,
@@ -168,8 +166,6 @@ def omega_from_map(g, config=None):
     Pairs (F, G) whose tops satisfy: top(G) way below the image of
     top(F).  Validates as a morphism, and is monotone in g.
     """
-    if not is_scott_continuous(g):
-        raise MapNotContinuous("map fails the directed-supremum check")
     src = induce_cf_from_poset(g.source, config)
     tgt = induce_cf_from_poset(g.target, config)
     rows = []
@@ -207,10 +203,7 @@ def map_from_omega(rel, config=None):
         if value is None:
             raise PostconditionFailed("induced map value has no supremum")
         graph[x] = value
-    g = MonotoneMap(L1, L2, graph)
-    if not is_scott_continuous(g):
-        raise PostconditionFailed("induced map is not Scott continuous")
-    return g
+    return MonotoneMap(L1, L2, graph)
 
 
 # --------------------------------------------------------------------------
@@ -266,10 +259,10 @@ def fs_witness_from_domain(P, deltas=None, mode="plain", config=None):
             pair_ok = lambda cg, cf: P.leq(cg, d(cf))
             image = d.image()
             sep = tuple(frozenset([m]) for m in P.elements if m in image)
-        pairs = [(F, G)
-                 for F in space.family for G in space.family
-                 if pair_ok(ind.top(G), ind.top(F))]
-        rels.append(ApproximableRelation(space, space, pairs))
+        rows = [sum(1 << j for j, G in enumerate(space.family)
+                    if pair_ok(ind.top(G), ind.top(F)))
+                for F in space.family]
+        rels.append(ApproximableRelation._from_rows(space, space, rows))
         seps.append(tuple(dict.fromkeys(sep)))
     w = WitnessFamily(space, rels, seps)
     cls = classify_space(space, w)
@@ -350,18 +343,18 @@ def space_self_iso(space, witness=None, config=None):
         raise SizeCapExceeded(
             f"re-induced family has {len(double.space.family)} members, "
             f"beyond cap_family={cfg.cap_family}")
-    fwd_pairs = []
-    bwd_pairs = []
-    for F in space.family:
+    fwd_rows = [0] * len(space.family)
+    bwd_rows = [0] * len(double.space.family)
+    for i, F in enumerate(space.family):
         rf = space.upper_of_member(F)
-        for C in double.space.family:
+        for c, C in enumerate(double.space.family):
             top = double.top(C)
             if top <= rf:  # way below in the inclusion order
-                fwd_pairs.append((F, C))
+                fwd_rows[i] |= 1 << c
             if F <= top:
-                bwd_pairs.append((C, F))
-    forward = ApproximableRelation(space, double.space, fwd_pairs)
-    backward = ApproximableRelation(double.space, space, bwd_pairs)
+                bwd_rows[c] |= 1 << i
+    forward = ApproximableRelation._from_rows(space, double.space, fwd_rows)
+    backward = ApproximableRelation._from_rows(double.space, space, bwd_rows)
     for rel in (forward, backward):
         rep = validate_approximable(rel)
         if not rep.ok:
@@ -377,8 +370,8 @@ def space_self_iso(space, witness=None, config=None):
 def representation_round_trip(P, config=None):
     """Carrier-to-closed-set isomorphism plus the isomorphism search.
 
-    Convenience wrapper used by the theorem checks: returns the explicit
-    carrier map and the independently searched poset isomorphism.
+    Returns the explicit carrier map and the independently searched
+    poset isomorphism; the tests compare the two.
     """
     cfg = resolve(config)
     ind = induce_cf_from_poset(P, cfg)

@@ -14,9 +14,9 @@ from roughdom.cfspace import (
     way_below_closed,
 )
 from roughdom.config import RunConfig
-from roughdom.corpus import random_cf_space, seeded_rng
+from roughdom.corpus import random_cf_space, random_ga_space, seeded_rng
 from roughdom.errors import NotClosed, SpaceNotValidated
-from roughdom.gaspace import GASpace, upper_approx
+from roughdom.gaspace import GASpace, relation_properties, upper_approx
 from roughdom.poset import is_continuous_domain, is_algebraic_domain, way_below
 from roughdom.represent import induce_cf_from_poset
 
@@ -367,3 +367,22 @@ def test_topological_recheck_keeps_the_stored_oracle_report():
     report = validate_cf(space)
     assert report is orc
     assert report.exhaustive and report.witnesses is None
+
+
+def test_preorder_spaces_pass_validation_under_any_family():
+    # a preorder makes every family consistent: G = F re-covers each chunk
+    # of upper(F); is_topological_cf relies on this instead of re-checking
+    rng = seeded_rng(83)
+    spaces = 0
+    while spaces < 300:
+        base = random_ga_space(rng, max_universe=6)
+        if not relation_properties(base).preorder:
+            continue
+        spaces += 1
+        n = len(base.universe)
+        family = [base.subset(rng.randrange(1 << n))
+                  for _ in range(rng.randint(1, 2 ** n))]
+        fast = validate_cf(CFSpace(base, family))
+        oracle = validate_cf(CFSpace(base, family), oracle=True)
+        assert fast.ok and not fast.exhaustive
+        assert oracle.ok and oracle.exhaustive

@@ -66,6 +66,20 @@ def test_closed_sets_listing_and_dot(tmp_path, chain3_paths, capsys):
     assert dot.count("->") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["closed-sets", "{space}", "--dot", "{tmp}"],
+    ["closed-sets", "{space}", "--dot", "{tmp}/missing/x.dot"],
+    ["gen", "posets", "--max-size", "1", "--out", "{space}"],
+    ["gen", "posets", "--max-size", "1", "--out", "{space}/below"],
+])
+def test_unwritable_outputs_are_malformed(tmp_path, chain3_paths, argv, capsys):
+    _, space_path = chain3_paths
+    argv = [a.format(space=space_path, tmp=tmp_path) for a in argv]
+    assert main(["--format", "machine"] + argv) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["status"] for r in records] == ["error"]
+
+
 def test_check_pipelines(chain3_paths):
     poset_path, space_path = chain3_paths
     for theorem in ("rep1", "rep2", "rep3", "rep4"):

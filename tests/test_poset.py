@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import antichain, chain, vee
+from conftest import antichain, chain, diamond, vee
 from roughdom.errors import (
     ElementNotInPoset,
     EmptyFamily,
@@ -479,3 +479,39 @@ def test_cofinal_part_on_random_covers(posets_to_4):
         B = parts[j]
         assert all(any(P.leq(d, a) for a in B) for d in D)
         assert supremum(P, B) == supremum(P, D)
+
+
+def _rebuilt(f):
+    """``f`` through the checking constructor, which raises on a map that
+    is not total or not monotone."""
+    return MonotoneMap(f.source, f.target, f.graph)
+
+
+def test_unchecked_builders_yield_checkable_maps(posets_to_4):
+    small = [P for k in (1, 2, 3) for P in posets_to_4[k]]
+    homs = {(a, b): monotone_maps(P, Q)
+            for a, P in enumerate(small) for b, Q in enumerate(small)}
+    for P, Q in ((chain(4), chain(4)), (chain(4), antichain(4)),
+                 (antichain(4), chain(4)), (diamond(), chain(4)),
+                 (diamond(), diamond())):
+        for f in monotone_maps(P, Q):
+            assert _rebuilt(f) == f
+    for fs in homs.values():
+        for f in fs:
+            assert _rebuilt(f) == f
+    composites = 0
+    for (a, b), fs in homs.items():
+        for c in range(len(small)):
+            for g in homs[b, c]:
+                for f in fs:
+                    h = compose_maps(g, f)
+                    assert _rebuilt(h) == h
+                    composites += 1
+    assert composites == 30228
+    rng = seeded_rng(101)
+    for (a, b), fs in homs.items():
+        assert _rebuilt(identity_map(small[a])) == identity_map(small[a])
+        for _ in range(20):
+            sup = pointwise_sup(rng.sample(fs, rng.randint(1, min(3, len(fs)))))
+            if sup is not None:
+                assert _rebuilt(sup) == sup

@@ -2,7 +2,6 @@
 
 import pytest
 
-from conftest import chain
 from roughdom.cfspace import CFSpace, cf_closed_sets, is_topological_cf, validate_cf
 from roughdom.corpus import random_cf_space, random_monotone_map, seeded_rng
 from roughdom.errors import SpaceMismatch
@@ -439,27 +438,3 @@ def test_validation_memo_keys_the_frame(chain3_space):
     moved = ApproximableRelation._from_rows(flipped, flipped, ident.rows)
     report = validate_approximable(moved)
     assert not report.ok and report.failing == 2
-
-
-def test_topological_validator_rechecks_each_space_once(monkeypatch):
-    import roughdom.cfspace as cfspace
-
-    rng = seeded_rng(97)
-    # fresh space objects, which no earlier test has checked
-    induced = induce_cf_from_poset(chain(3)).space
-    spaces = [CFSpace(induced.base, induced.family) for _ in range(2)]
-    for space in spaces:
-        validate_cf(space)
-    checked = []
-    real = cfspace._check_cf
-
-    def counting(space, *args, **kwargs):
-        checked.append(space)
-        return real(space, *args, **kwargs)
-
-    monkeypatch.setattr(cfspace, "_check_cf", counting)
-    for _ in range(50):
-        src, tgt = rng.choice(spaces), rng.choice(spaces)
-        chosen = [(F, G) for F in src.family for G in tgt.family if rng.random() < 0.5]
-        validate_topological_approximable(ApproximableRelation(src, tgt, chosen))
-    assert sorted(map(id, checked)) == sorted(map(id, spaces))

@@ -1,10 +1,12 @@
 """FS / strong-FS witness conditions and the selector machinery."""
 
+import itertools
+
 import pytest
 
 from conftest import chain
 from roughdom.cfspace import CFSpace, cf_closed_sets, validate_cf
-from roughdom.corpus import seeded_rng
+from roughdom.corpus import random_ga_space, seeded_rng
 from roughdom.errors import (
     EmptyFamily,
     NotClosed,
@@ -12,7 +14,8 @@ from roughdom.errors import (
     TBViolated,
     WitnessInvalid,
 )
-from roughdom.gaspace import GASpace
+from roughdom.gaspace import GASpace, relation_properties
+from roughdom.ordering import iter_subset_masks
 from roughdom.poset import (
     is_kernel_operator,
     is_separating_witness,
@@ -340,3 +343,60 @@ def test_witness_checks_read_relations_on_the_witness_space(posets_to_4):
             assert classify_space(space, w) == classify_space(space, ref)
             differs += identity_relation(flipped).rows != ref.relations[0].rows
     assert differs >= 20
+
+
+def _tb_failures_by_all_unions(sel):
+    """Literal tb1/tb2 over every K and every union of selected members,
+    as (K, condition, member or bound) triples in the order check_tb
+    meets them."""
+    space = sel.space
+    bounds = list(dict.fromkeys(space.upper_of_member(F) for F in space.family))
+    found = []
+    for kmask in iter_subset_masks(len(space.universe)):
+        K = space.base.subset(kmask)
+        chosen = sel.table[K]
+        found += [(K, "tb1", F) for F in space.family if F <= K and F not in chosen]
+        uppers = [space.upper_of_member(M) for M in chosen]
+        for bound in bounds:
+            for size in range(len(chosen) + 1):
+                for combo in itertools.combinations(chosen, size):
+                    union = frozenset().union(*combo)
+                    if union <= bound and not any(union <= up <= bound for up in uppers):
+                        found.append((K, "tb2", bound))
+    return found
+
+
+def test_check_tb_agrees_with_all_unions_oracle(posets_to_4):
+    rng = seeded_rng(131)
+    spaces = [induce_cf_from_poset(P).space for k in (1, 2, 3) for P in posets_to_4[k]]
+    while len(spaces) < 30:
+        base = random_ga_space(rng, max_universe=4)
+        if relation_properties(base).preorder:
+            n = len(base.universe)
+            family = [base.subset(rng.randrange(1 << n)) for _ in range(rng.randint(1, 6))]
+            space = CFSpace(base, family)
+            validate_cf(space)
+            spaces.append(space)
+    verdicts = {True: 0, "tb1": 0, "tb2": 0}
+    for _ in range(1500):
+        space = rng.choice(spaces)
+        keep = rng.choice([1.0, 0.97, 0.9, 0.7])
+        table = {}
+        for kmask in iter_subset_masks(len(space.universe)):
+            K = space.base.subset(kmask)
+            table[K] = [F for F in space.family
+                        if rng.random() < (0.97 if F <= K else keep)]
+        report = check_tb(TBSelector(space, table))
+        oracle = _tb_failures_by_all_unions(TBSelector(space, table))
+        assert report.ok == (not oracle)
+        listed = [(f.K, f.condition, f.detail[0]) for f in report.failures]
+        assert set(listed) == set(oracle)
+        assert len(listed) == len(set(listed))  # one tb2 failure per (K, bound)
+        for f in report.failures:
+            if f.condition == "tb2":
+                bound, union = f.detail
+                assert union <= bound
+        if oracle:
+            assert listed[0][:2] == oracle[0][:2]
+        verdicts[True if report.ok else listed[0][1]] += 1
+    assert min(verdicts.values()) >= 100, verdicts
