@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .config import resolve
-from .cfspace import cf_closed_sets, is_topological_cf
+from .cfspace import absorption_masks, cf_closed_sets, is_topological_cf
 from .errors import SizeCapExceeded
 from .poset import monotone_maps, identity_map, compose_maps, order_isomorphism
 from .relation import (
     ApproximableRelation,
-    _absorption,
     compose,
     from_map,
     identity_relation,
@@ -37,7 +36,7 @@ from .represent import (
     space_self_iso,
 )
 from .witness import classify_space, default_witness, search_tb_selector
-from .ordering import iter_subset_masks
+from .ordering import bits, iter_subset_masks, union_of
 
 
 @dataclass(frozen=True)
@@ -98,12 +97,15 @@ def psi_morphism(rel, config=None):
 def approximable_relations_between(ind1, ind2, config=None):
     """Every validated relation between two induced spaces.
 
-    Axioms (2) and (3) make a valid relation an up-set of the preorder
-    on family-index cells in which (i, j) forces (i2, j2) when F_i lies
-    inside upper(F_i2) and G_j2 inside upper(G_j).  The search decides
-    the lowest undecided cell both ways (in: add every cell it forces;
-    out: drop every cell that forces it), so every valid relation is
-    reached, and each leaf runs through the full validator.
+    Axioms (1), (3) and (5) each read one row, the targets of one source
+    member: it is nonempty, holds every G_j2 inside upper(G_j) with each
+    G_j, and bounds any two of its members inside itself.  Being inside
+    upper is transitive, so such a finite row has a greatest member t,
+    below itself, and is the set of members below t; those sets are the
+    candidate rows.  The search gives the source members candidate rows
+    in family order, pruned by axiom (2) against the rows already given,
+    and runs each full assignment through the validator.  Relations come
+    out ascending by their cells (i, j), row by row, j first.
     """
     cfg = resolve(config)
     n1, n2 = len(ind1.origin.elements), len(ind2.origin.elements)
@@ -113,33 +115,34 @@ def approximable_relations_between(ind1, ind2, config=None):
     if max(len(ind1.space.family), len(ind2.space.family)) > cfg.cap_family:
         raise SizeCapExceeded(f"family sizes exceed cap_family={cfg.cap_family}")
     s1, s2 = ind1.space, ind2.space
-    ups, downs = _absorption(s1, s2)
+    up1, down1 = absorption_masks(s1)
+    down2 = absorption_masks(s2)[1]
     m = len(s2.family)
-    cells = range(len(s1.family) * m)
-    # bit masks over cells c = i*m + j, each cell counted as forcing itself
-    forced = [1 << c for c in cells]
-    forcers = [1 << c for c in cells]
-    for c in cells:
-        for d in (i2 * m + j2 for i2 in ups[c // m] for j2 in downs[c % m]):
-            forced[c] |= 1 << d
-            forcers[d] |= 1 << c
-    row_mask = (1 << m) - 1  # cell i*m + j is bit j of row i
+    candidates = sorted({d for t, d in enumerate(down2) if d >> t & 1},
+                        key=lambda r: [r >> j & 1 for j in range(m)])
+    n = len(s1.family)
+    rows = [0] * n
     out = []
-    stack = [(0, 0)]  # (included, excluded) cells
-    while stack:
-        inc, exc = stack.pop()
-        free = ~(inc | exc) & ((1 << len(cells)) - 1)
-        if not free:
-            rows = [inc >> (i * m) & row_mask for i in range(len(s1.family))]
+
+    def extend(i):
+        if i == n:
             rel = ApproximableRelation._from_rows(s1, s2, rows)
             if validate_approximable(rel).ok:
                 out.append(rel)
-            continue
-        c = (free & -free).bit_length() - 1
-        if not forced[c] & exc:
-            stack.append((inc | forced[c], exc))
-        if not forcers[c] & inc:
-            stack.append((inc, exc | forcers[c]))
+            return
+        # axiom (2): rows[i] inside rows[k] when F_i is inside upper(F_k),
+        # and rows[k] inside rows[i] when F_k is inside upper(F_i)
+        given = (1 << i) - 1
+        ceiling = -1
+        for k in bits(up1[i] & given):
+            ceiling &= rows[k]
+        floor = union_of(rows, down1[i] & given)
+        for row in candidates:
+            if row & ~ceiling == 0 and floor & ~row == 0:
+                rows[i] = row
+                extend(i + 1)
+
+    extend(0)
     if len(out) > cfg.cap_hom:
         raise SizeCapExceeded(f"relation hom-set exceeds cap_hom={cfg.cap_hom}")
     return tuple(out)
@@ -148,7 +151,7 @@ def approximable_relations_between(ind1, ind2, config=None):
 def brute_force_relations(space1, space2, config=None):
     """All validated relations by raw powerset scan; only for tiny families.
 
-    The literal oracle for the up-set search above.
+    The literal oracle for the row-wise search above.
     """
     cfg = resolve(config)
     cells = [(F, G) for F in space1.family for G in space2.family]
@@ -203,11 +206,14 @@ def check_functor_laws(functor, objects, morphism_map=None, config=None):
 
     ``functor`` is "phi" (posets to spaces) or "psi" (induced spaces to
     closed-set posets).  ``morphism_map`` overrides the morphism part,
-    which is how the fault-injection tests corrupt a functor.  Each
-    check calls the morphism part once per distinct morphism and serves
-    repeats, composites included, from a memo keyed by the morphism, so
-    ``morphism_map`` must be a function of the morphism.  Every
-    composite is still built and compared: F(g o h) against F(g) o F(h).
+    which is how the fault-injection tests corrupt a functor.  Every
+    source composite g o h is built and looked up in the enumerated
+    hom(A, C): a composite missing there is a counterexample, since the
+    source category is closed under composition.  The member found,
+    already checked when its hom-set was enumerated, is what the
+    morphism part receives, and F(g o h) is compared with F(g) o F(h).
+    The morphism part is called once per distinct morphism, from a memo
+    keyed by the morphism, so ``morphism_map`` must be a function of it.
     """
     cfg = resolve(config)
     src, tgt = _functor(functor, objects, cfg)
@@ -219,6 +225,7 @@ def check_functor_laws(functor, objects, morphism_map=None, config=None):
             identity_ok = False
             counterexamples.append(("identity", A))
     hom = [[src.hom(A, B) for B in src.objects] for A in src.objects]
+    members = [[{m: m for m in ms} for ms in row] for row in hom]
     compositions = 0
     composition_ok = True
     for a, b, c in product(range(len(hom)), repeat=3):
@@ -226,7 +233,8 @@ def check_functor_laws(functor, objects, morphism_map=None, config=None):
             fh = fmap(h)
             for g in hom[b][c]:
                 compositions += 1
-                if fmap(src.compose(g, h)) != tgt.compose(fmap(g), fh):
+                gh = members[a][c].get(src.compose(g, h))
+                if gh is None or fmap(gh) != tgt.compose(fmap(g), fh):
                     composition_ok = False
                     counterexamples.append(("composition", g, h))
     return FunctorLawReport(identity_ok, composition_ok, tuple(counterexamples[:8]),

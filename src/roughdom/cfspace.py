@@ -47,7 +47,7 @@ class CFSpace:
     """
 
     __slots__ = ("base", "family", "_findex", "_fmasks", "_rmasks",
-                 "_validation", "_closed", "_hash")
+                 "_validation", "_closed", "_absorb", "_hash")
 
     def __init__(self, base, family):
         if not isinstance(base, GASpace):
@@ -71,6 +71,7 @@ class CFSpace:
         self._rmasks = tuple(base.upper_mask(m) for m in self._fmasks)
         self._validation = None
         self._closed = None
+        self._absorb = None
         self._hash = None
 
     def __eq__(self, other):
@@ -105,6 +106,18 @@ class CFSpace:
     @property
     def is_validated(self):
         return self._validation is not None and self._validation.ok
+
+
+def absorption_masks(space):
+    """The pair (up, down) of member-index bitmasks, built once per space:
+    bit k of ``up[i]`` is set when F_i lies inside upper(F_k), and bit k
+    of ``down[i]`` when F_k lies inside upper(F_i)."""
+    if space._absorb is None:
+        fm, rm = space._fmasks, space._rmasks
+        up = tuple(sum(1 << k for k, r in enumerate(rm) if f & ~r == 0) for f in fm)
+        down = tuple(sum(1 << k for k, f in enumerate(fm) if f & ~r == 0) for r in rm)
+        space._absorb = (up, down)
+    return space._absorb
 
 
 @dataclass(frozen=True)

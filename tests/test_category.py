@@ -85,15 +85,10 @@ def test_enumerated_relations_are_element_determined(small_objects):
                 assert element_determined(rel, iP, iQ)
 
 
-def test_enumeration_matches_oracle_within_cap_cells(monkeypatch):
+def test_enumeration_matches_oracle_within_cap_cells():
     # every ordered pair of size-<=3 induced spaces whose family cells
     # the powerset oracle may scan
-    import roughdom.relation as relation
-
     induced = [induce_cf_from_poset(P) for n in (1, 2, 3) for P in all_posets(n)]
-    # the oracle validates up to 2**16 candidates per pair; a fresh memo,
-    # emptied after each pair, keeps them from piling up for later tests
-    monkeypatch.setattr(relation, "_VALIDATION_MEMO", {})
     checked = 0
     for iP in induced:
         for iQ in induced:
@@ -102,7 +97,6 @@ def test_enumeration_matches_oracle_within_cap_cells(monkeypatch):
             searched = approximable_relations_between(iP, iQ)
             assert len(set(searched)) == len(searched)
             assert set(searched) == set(brute_force_relations(iP.space, iQ.space))
-            relation._VALIDATION_MEMO.clear()
             checked += 1
     assert checked == 41
 
@@ -116,6 +110,23 @@ def test_hom_set_sizes_match_monotone_maps_beyond_3x3():
         rels = approximable_relations_between(iP, iQ)
         assert len(rels) == len(monotone_maps(P, Q))
         assert all(element_determined(rel, iP, iQ) for rel in rels)
+
+
+@pytest.mark.parametrize("P, Q", [(antichain(4), antichain(5)),
+                                  (antichain(5), antichain(5)),
+                                  (chain(5), chain(5))])
+def test_row_search_validates_only_relations(P, Q, monkeypatch):
+    # past the default cap_cells: every leaf the search validates is a relation
+    import roughdom.relation as relation
+    from roughdom.config import RunConfig
+
+    iP, iQ = induce_cf_from_poset(P), induce_cf_from_poset(Q)
+    calls = []
+    validate = relation._validate
+    monkeypatch.setattr(relation, "_validate", lambda rel: calls.append(rel) or validate(rel))
+    rels = approximable_relations_between(iP, iQ, RunConfig(cap_cells=25))
+    assert len(rels) == len(monotone_maps(P, Q))
+    assert len(calls) == len(rels)
 
 
 def test_hom_set_sizes_match(small_objects):
@@ -149,6 +160,30 @@ def test_fault_injected_phi_fails(small_objects):
     report = check_functor_laws("phi", small_objects, morphism_map=corrupted_phi)
     assert not report.ok
     assert report.counterexamples
+
+
+def test_law_check_reports_a_composite_missing_from_its_hom_set(monkeypatch):
+    import roughdom.category as category
+    from roughdom.relation import ApproximableRelation
+
+    ind = induce_cf_from_poset(chain(2))
+    hom = approximable_relations_between(ind, ind)
+    g, h = hom[0], hom[-1]
+    whole = compose(g, h)
+    # drop the first pair whose removal leaves a relation outside the hom-set
+    for pair in sorted(whole.pairs, key=lambda p: sorted(map(sorted, p))):
+        broken = ApproximableRelation(ind.space, ind.space, whole.pairs - {pair})
+        if broken not in hom:
+            break
+    assert broken not in hom
+
+    def dropping(second, first):
+        return broken if (second, first) == (g, h) else compose(second, first)
+
+    monkeypatch.setattr(category, "compose", dropping)
+    report = check_functor_laws("psi", (ind,))
+    assert report.identity_ok and not report.composition_ok
+    assert report.counterexamples == (("composition", g, h),)
 
 
 def constant_morphism_phi(g):

@@ -7,6 +7,7 @@ import pytest
 from conftest import chain, vee
 from roughdom.cfspace import (
     CFSpace,
+    absorption_masks,
     cf_closed_sets,
     is_cf_closed,
     is_topological_cf,
@@ -386,3 +387,31 @@ def test_preorder_spaces_pass_validation_under_any_family():
         oracle = validate_cf(CFSpace(base, family), oracle=True)
         assert fast.ok and not fast.exhaustive
         assert oracle.ok and oracle.exhaustive
+
+
+def literal_absorption(space):
+    """(up, down) of ``absorption_masks`` from the relation pairs."""
+    R = space.base.relation
+    fam = space.family
+    upper = [frozenset(x for x in space.universe if any((x, a) in R for a in F))
+             for F in fam]
+    up = tuple(sum(1 << k for k in range(len(fam)) if fam[i] <= upper[k])
+               for i in range(len(fam)))
+    down = tuple(sum(1 << k for k in range(len(fam)) if fam[k] <= upper[i])
+                 for i in range(len(fam)))
+    return up, down
+
+
+def test_absorption_masks_match_their_definition():
+    rng = seeded_rng(71)
+    for _ in range(40):
+        space = random_cf_space(rng, max_universe=6)
+        flipped = CFSpace(space.base, tuple(reversed(space.family)))
+        for sp in (space, flipped):
+            assert absorption_masks(sp) == literal_absorption(sp)
+            assert absorption_masks(sp) is absorption_masks(sp)  # built once
+        # equal spaces, but each table reads its own family order
+        n = len(space.family)
+        up, flipped_up = absorption_masks(space)[0], absorption_masks(flipped)[0]
+        assert all((up[i] >> k & 1) == (flipped_up[n - 1 - i] >> (n - 1 - k) & 1)
+                   for i in range(n) for k in range(n))
