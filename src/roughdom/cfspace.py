@@ -17,7 +17,11 @@ chunk per member; the oracle (``oracle=True`` or ``RunConfig.oracle``)
 walks every chunk and is bounded by ``cap_universe``.  Closedness is
 only ever decided by its definition, every chunk of the candidate set,
 so the brute-force closed-set scan stays an independent cross-check of
-the image algorithm.
+the image algorithm.  The definition reads a member G only through the
+pair (G | upper(G), upper(G)), so each call builds a table with the
+first member of each distinct pair and decides every candidate against
+it; the brute scan still walks every subset of the universe and every
+chunk of each subset up to the first that is not re-covered.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
     SpaceNotValidated,
 )
 from .gaspace import GASpace, relation_properties
-from .ordering import iter_submasks, iter_subset_masks, set_key
+from .ordering import iter_submasks, set_key
 from .poset import FinitePoset
 
 
@@ -52,23 +56,31 @@ class CFSpace:
     def __init__(self, base, family):
         if not isinstance(base, GASpace):
             base = GASpace(*base)
-        fam = []
-        seen = set()
+        # one pass per distinct member: atom check, mask, and upper mask as
+        # the OR of the predecessor masks of its atoms
+        index, pred = base._index, base._pred_masks
+        findex, fmasks, rmasks = {}, [], []
         for F in family:
             fs = frozenset(F)
+            if fs in findex:
+                continue
+            fm = rm = 0
             for x in fs:
-                if x not in base._index:
+                i = index.get(x)
+                if i is None:
                     raise InvalidSpace(f"family member atom {x!r} leaves the universe")
-            if fs not in seen:
-                seen.add(fs)
-                fam.append(fs)
-        if not fam:
+                fm |= 1 << i
+                rm |= pred[i]
+            findex[fs] = len(fmasks)
+            fmasks.append(fm)
+            rmasks.append(rm)
+        if not findex:
             raise InvalidSpace("family must be nonempty")
         self.base = base
-        self.family = tuple(fam)
-        self._findex = {F: i for i, F in enumerate(self.family)}
-        self._fmasks = tuple(base.mask(F) for F in self.family)
-        self._rmasks = tuple(base.upper_mask(m) for m in self._fmasks)
+        self.family = tuple(findex)
+        self._findex = findex
+        self._fmasks = tuple(fmasks)
+        self._rmasks = tuple(rmasks)
         self._validation = None
         self._closed = None
         self._absorb = None
@@ -225,27 +237,45 @@ def require_validated(space):
 # CF-closed sets
 # --------------------------------------------------------------------------
 
-def _uncovered_chunk(space, emask, witnesses=None):
+def _cover_table(space):
+    """The members closedness has to read, built once per call.
+
+    One entry (G | upper(G), upper(G), index of G) per distinct pair of
+    masks, keeping the first member G of each pair in family order.  "G
+    inside E and upper(G) inside E" is "G | upper(G) inside E", and the
+    re-cover test "K inside upper(G)" reads upper(G) only, so members
+    with equal pairs are interchangeable, and the first one is the
+    first witness in family order.
+    """
+    first = {}
+    for j, (fm, rm) in enumerate(zip(space._fmasks, space._rmasks)):
+        first.setdefault((fm | rm, rm), j)
+    return tuple((gu, rg, j) for (gu, rg), j in first.items())
+
+
+def _uncovered_chunk(table, emask, witnesses=None):
     """Definitional closedness of the set with mask ``emask``.
 
     Every K inside E must be re-covered within E: some member G inside
-    E with K inside upper(G) inside E.  Walks every submask K and
-    returns the first one that is not re-covered, or None when E is
-    closed.  A ``witnesses`` dict, when given, receives K mask -> index
-    of the first re-covering member for each K walked.
+    E with K inside upper(G) inside E.  The members are read from the
+    ``_cover_table`` of the space.  Walks every submask K, from E down
+    to the empty set, and returns the first one that is not re-covered,
+    or None when E is closed.  A ``witnesses`` dict, when given,
+    receives K mask -> index of the first re-covering member for each
+    K walked.
     """
-    rmasks = space._rmasks
-    good = [(j, rmasks[j]) for j, fm in enumerate(space._fmasks)
-            if fm & ~emask == 0 and rmasks[j] & ~emask == 0]
-    for k in iter_submasks(emask):
-        for j, rg in good:
-            if k & ~rg == 0:
+    k = emask
+    while True:
+        for gu, rg, j in table:
+            if k & ~rg == 0 and gu & ~emask == 0:
                 if witnesses is not None:
                     witnesses[k] = j
                 break
         else:
             return k
-    return None
+        if k == 0:
+            return None
+        k = (k - 1) & emask
 
 
 @dataclass(frozen=True)
@@ -270,7 +300,7 @@ def is_cf_closed(space, E, record_witnesses=False):
     require_validated(space)
     emask = space.base.mask(E)  # raises ElementNotInUniverse on foreign atoms
     found = {} if record_witnesses else None
-    k = _uncovered_chunk(space, emask, found)
+    k = _uncovered_chunk(_cover_table(space), emask, found)
     witnesses = None
     if record_witnesses:
         witnesses = {space.base.subset(m): space.family[j] for m, j in found.items()}
@@ -278,9 +308,9 @@ def is_cf_closed(space, E, record_witnesses=False):
     return ClosednessCheck(k is None, frozenset(E), counterexample, witnesses)
 
 
-def _closed_masks(space, candidates):
+def _closed_masks(table, candidates):
     """The closed sets among the candidate masks, ascending."""
-    return sorted(m for m in candidates if _uncovered_chunk(space, m) is None)
+    return sorted(m for m in candidates if _uncovered_chunk(table, m) is None)
 
 
 @dataclass(frozen=True)
@@ -304,7 +334,11 @@ def cf_closed_sets(space, config=None):
 
     Runs the image algorithm (candidates are the upper approximations
     of family members) and, inside the universe cap, cross-checks it
-    against the brute-force subset scan; the two must agree.  Results
+    against the brute-force scan of all 2^|U| subsets; the two must
+    agree.  Both decide each candidate by the same definitional walk
+    over its chunks, against one ``_cover_table`` built for the call,
+    so for each chunk the brute scan reads the distinct
+    (G | upper(G), upper(G)) pairs, not the whole family.  Results
     are cached per space; a cached result that was not cross-checked is
     enumerated and cross-checked again when the caller's cap allows it.
     """
@@ -313,8 +347,9 @@ def cf_closed_sets(space, config=None):
     cross = len(space.universe) <= cfg.cap_universe
     if space._closed is not None and (space._closed.cross_checked or not cross):
         return space._closed
-    masks = _closed_masks(space, set(space._rmasks))
-    if cross and _closed_masks(space, iter_subset_masks(len(space.universe))) != masks:
+    table = _cover_table(space)
+    masks = _closed_masks(table, set(space._rmasks))
+    if cross and _closed_masks(table, range(1 << len(space.universe))) != masks:
         raise PostconditionFailed(
             "closed-set enumeration mismatch between brute force and image algorithm")
     index = {x: i for i, x in enumerate(space.universe)}

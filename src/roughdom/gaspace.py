@@ -87,10 +87,11 @@ class GASpace:
     # -- approximation operators (mask level, used by the hot paths) --------
 
     def upper_mask(self, amask):
+        # x has a successor in A exactly when x is a predecessor of an atom
+        # of A, so the upper mask is the OR of those atoms' predecessor masks
         out = 0
-        for i, s in enumerate(self._succ_masks):
-            if s & amask:
-                out |= 1 << i
+        for i in bits(amask):
+            out |= self._pred_masks[i]
         return out
 
     def lower_mask(self, amask):

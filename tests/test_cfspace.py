@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from conftest import chain, vee
+from roughdom import cfspace
 from roughdom.cfspace import (
     CFSpace,
     absorption_masks,
@@ -15,8 +16,8 @@ from roughdom.cfspace import (
     way_below_closed,
 )
 from roughdom.config import RunConfig
-from roughdom.corpus import random_cf_space, random_ga_space, seeded_rng
-from roughdom.errors import NotClosed, SpaceNotValidated
+from roughdom.corpus import posets_up_to, random_cf_space, random_ga_space, seeded_rng
+from roughdom.errors import InvalidSpace, NotClosed, PostconditionFailed, SpaceNotValidated
 from roughdom.gaspace import GASpace, relation_properties, upper_approx
 from roughdom.poset import is_continuous_domain, is_algebraic_domain, way_below
 from roughdom.represent import induce_cf_from_poset
@@ -415,3 +416,130 @@ def test_absorption_masks_match_their_definition():
         up, flipped_up = absorption_masks(space)[0], absorption_masks(flipped)[0]
         assert all((up[i] >> k & 1) == (flipped_up[n - 1 - i] >> (n - 1 - k) & 1)
                    for i in range(n) for k in range(n))
+
+
+def literal_upper(space, A):
+    """upper(A) from the relation pairs: the points with a successor in A."""
+    R = space.base.relation
+    return frozenset(x for x in space.universe if any((x, a) in R for a in A))
+
+
+def test_member_masks_match_their_definition():
+    rng = seeded_rng(59)
+    nonreflexive = 0
+    for _ in range(80):
+        base = random_ga_space(rng, max_universe=6)
+        n = len(base.universe)
+        family = [base.subset(rng.randrange(1 << n)) for _ in range(rng.randint(1, 8))]
+        space = CFSpace(base, family + family[::-1])
+        # duplicates keep the position of their first occurrence
+        assert space.family == tuple(dict.fromkeys(family))
+        for F, fm, rm in zip(space.family, space._fmasks, space._rmasks):
+            assert fm == base.mask(F)
+            assert base.subset(rm) == literal_upper(space, F)
+        for amask in range(1 << n):
+            assert base.subset(base.upper_mask(amask)) == literal_upper(
+                space, base.subset(amask))
+        nonreflexive += not relation_properties(base).reflexive
+    assert nonreflexive > 20
+
+
+def test_member_atoms_outside_the_universe_are_refused():
+    base = GASpace(["a", "b"], [("a", "b")])
+    with pytest.raises(InvalidSpace, match="'c' leaves the universe"):
+        CFSpace(base, [["a"], ["b", "c"]])
+    with pytest.raises(InvalidSpace, match="nonempty"):
+        CFSpace(base, [])
+
+
+def literal_closedness(space, E):
+    """Closedness of E from the definition alone: no table, the whole
+    family for every chunk K of E, the chunks walked from E down in mask
+    order.  Returns (closed, first uncovered chunk or None, K -> first
+    re-covering member in family order for each chunk walked)."""
+    U = space.universe
+    emask = sum(1 << U.index(x) for x in E)
+    uppers = [literal_upper(space, F) for F in space.family]
+    witnesses = {}
+    for kmask in range(emask, -1, -1):
+        if kmask & ~emask:
+            continue
+        K = frozenset(x for i, x in enumerate(U) if kmask >> i & 1)
+        G = next((F for F, R in zip(space.family, uppers) if F <= E and K <= R <= E),
+                 None)
+        if G is None:
+            return False, K, witnesses
+        witnesses[K] = G
+    return True, None, witnesses
+
+
+def closedness_corpus():
+    """Seeded random spaces and the induced spaces of all posets of size
+    at most 3, each a fresh, validated copy.
+
+    Of the random draws, every space with a member G outside upper(G)
+    (a relation that is not reflexive there) or with an earlier member
+    whose upper(G) equals a later one's but whose G | upper(G) is
+    larger is kept, and the first 20 others, so that both kinds are
+    well represented."""
+    rng = seeded_rng(43)
+    spaces, plain, loose, shadowing = [], 0, 0, 0
+    for _ in range(300):
+        space = random_cf_space(rng, max_universe=6)
+        fm, rm = space._fmasks, space._rmasks
+        is_loose = any(F & ~R for F, R in zip(fm, rm))
+        is_shadowing = any(rm[i] == rm[j] and (fm[i] | rm[i]) & ~(fm[j] | rm[j])
+                           for j in range(len(fm)) for i in range(j))
+        if is_loose or is_shadowing or plain < 20:
+            spaces.append(space)
+            plain += not (is_loose or is_shadowing)
+            loose += is_loose
+            shadowing += is_shadowing
+    assert loose >= 20 and shadowing >= 10, (loose, shadowing)
+    for posets in posets_up_to(3).values():
+        spaces.extend(induce_cf_from_poset(P).space for P in posets)
+    out = []
+    for space in spaces:
+        fresh = CFSpace(space.base, space.family)
+        assert validate_cf(fresh).ok
+        out.append(fresh)
+    return out
+
+
+def test_closedness_agrees_with_literal_oracle():
+    for space in closedness_corpus():
+        closed = set()
+        for E in all_subsets(space.universe):
+            ok, counterexample, witnesses = literal_closedness(space, E)
+            check = is_cf_closed(space, E, record_witnesses=True)
+            assert check.closed == ok, (space.family, E)
+            assert check.counterexample == counterexample, (space.family, E)
+            assert check.witnesses == witnesses, (space.family, E)
+            if ok:
+                closed.add(E)
+        cs = cf_closed_sets(space)
+        assert cs.cross_checked and set(cs.closed_sets) == closed, space.family
+
+
+def test_cross_check_catches_a_dropped_closed_set(monkeypatch, chain3):
+    induced = induce_cf_from_poset(chain3).space
+    calls = []
+    real = cfspace._closed_masks
+
+    def drop_one_from_the_image_algorithm(table, candidates):
+        masks = real(table, candidates)
+        calls.append(len(masks))
+        # the image algorithm runs first, the brute scan second
+        return masks[1:] if len(calls) == 1 else masks
+
+    monkeypatch.setattr(cfspace, "_closed_masks", drop_one_from_the_image_algorithm)
+    space = CFSpace(induced.base, induced.family)
+    validate_cf(space)
+    with pytest.raises(PostconditionFailed):
+        cf_closed_sets(space)
+    assert calls == [3, 3]
+    # above the cap nothing cross-checks, and the short result comes back
+    calls.clear()
+    small = cf_closed_sets(space, config=RunConfig(cap_universe=2))
+    assert not small.cross_checked and len(small) == 2
+    assert calls == [3]
