@@ -51,7 +51,7 @@ class CFSpace:
     """
 
     __slots__ = ("base", "family", "_findex", "_fmasks", "_rmasks",
-                 "_validation", "_closed", "_absorb", "_hash")
+                 "_validation", "_closed", "_absorb", "_origin", "_hash")
 
     def __init__(self, base, family):
         if not isinstance(base, GASpace):
@@ -84,6 +84,7 @@ class CFSpace:
         self._validation = None
         self._closed = None
         self._absorb = None
+        self._origin = None  # set by represent.induce_cf_from_poset to its poset
         self._hash = None
 
     def __eq__(self, other):

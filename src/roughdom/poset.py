@@ -44,7 +44,7 @@ class FinitePoset:
     """
 
     __slots__ = ("elements", "_index", "leq_pairs", "_down_masks", "_up_masks",
-                 "_directed", "_hash")
+                 "_directed", "_induced", "_hash")
 
     def __init__(self, elements, leq):
         elems = tuple(elements)
@@ -76,6 +76,7 @@ class FinitePoset:
         self._down_masks = tuple(down)
         self._up_masks = tuple(up)
         self._directed = None
+        self._induced = None  # filled by represent.induce_cf_from_poset
         self._hash = None
 
     @classmethod

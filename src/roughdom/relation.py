@@ -212,10 +212,7 @@ def require_relation_validated(rel):
 def identity_relation(space):
     """Pairs (F, G) with G inside the upper approximation of F."""
     require_validated(space)
-    fmasks = space._fmasks
-    rows = [sum(1 << j for j, gm in enumerate(fmasks) if gm & ~rf == 0)
-            for rf in space._rmasks]
-    return ApproximableRelation._from_rows(space, space, rows)
+    return ApproximableRelation._from_rows(space, space, absorption_masks(space)[1])
 
 
 def compose(second, first):

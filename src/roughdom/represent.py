@@ -30,7 +30,6 @@ from .gaspace import GASpace
 from .poset import (
     FinitePoset,
     MonotoneMap,
-    compacts,
     compose_maps,
     identity_map,
     is_algebraic_domain,
@@ -63,16 +62,12 @@ class InducedSpace:
         return self.top_of[frozenset(F)]
 
 
-_INDUCED_MEMO = {}
-
-
-def _topped_family(P, carrier):
+def _topped_family(P):
     """Finite subsets of the carrier with a top element, canonical order."""
     family = []
     tops = {}
-    carrier = [x for x in P.elements if x in carrier]
-    for c in carrier:
-        below = [y for y in carrier if P.leq(y, c) and y != c]
+    for c in P.elements:
+        below = [y for y in P.elements if P.leq(y, c) and y != c]
         for size in range(len(below) + 1):
             for rest in combinations(below, size):
                 F = frozenset(rest) | {c}
@@ -88,51 +83,43 @@ def _topped_family(P, carrier):
 def induce_cf_from_poset(P, config=None):
     """The space (carrier, way-below, topped subsets) of a nonempty poset.
 
-    The admissibility check must pass; the result is memoized per poset
-    content and element order so witness selection stays reproducible.
+    The admissibility check must pass.  The result is cached on the poset
+    object, so a poset is induced once and witness selection stays
+    reproducible; the space records the poset it came from in turn.
     """
     if len(P.elements) == 0:
         raise EmptyPoset("cannot induce a space from the empty poset")
-    key = (P.elements, P.leq_pairs)
-    hit = _INDUCED_MEMO.get(key)
-    if hit is not None:
+    cfg = resolve(config)
+    if P._induced is not None:
         # returns the stamped report, or runs the oracle when it is asked
-        # for and the memoized space was validated in the fast form
-        validate_cf(hit.space, config=resolve(config))
-        return hit
+        # for and the cached space was validated in the fast form
+        validate_cf(P._induced.space, config=cfg)
+        return P._induced
     relation = [(x, y) for x in P.elements for y in P.elements
                 if way_below(P, x, y)]
-    family, tops = _topped_family(P, set(P.elements))
+    family, tops = _topped_family(P)
     space = CFSpace(GASpace(P.elements, relation), family)
-    report = validate_cf(space, config=resolve(config))
+    report = validate_cf(space, config=cfg)
     if not report.ok:
         raise PostconditionFailed("induced space failed the admissibility check")
-    induced = InducedSpace(origin=P, space=space, top_of=tops)
-    _INDUCED_MEMO[key] = induced
-    return induced
+    space._origin = P
+    P._induced = InducedSpace(origin=P, space=space, top_of=tops)
+    return P._induced
 
 
 def induce_topcf_from_algebraic(P, config=None):
     """The space over the compact elements with the restricted order.
 
-    On finite posets every element is compact, so this coincides with
-    the way-below induced space; both paths are kept and the
-    algebraicity premise is checked rather than assumed.
+    On a finite poset every element is compact and way-below is the
+    order, so after checking the algebraicity premise this returns the
+    way-below induced space itself.
     """
     if len(P.elements) == 0:
         raise EmptyPoset("cannot induce a space from the empty poset")
     cfg = resolve(config)
     if not is_algebraic_domain(P, oracle=False, config=cfg):
         raise PreconditionViolated("poset is not algebraic")
-    K = compacts(P)
-    carrier = tuple(x for x in P.elements if x in K)
-    relation = [(x, y) for x in carrier for y in carrier if P.leq(x, y)]
-    family, tops = _topped_family(P, set(carrier))
-    space = CFSpace(GASpace(carrier, relation), family)
-    report = validate_cf(space, config=cfg)
-    if not report.ok:
-        raise PostconditionFailed("induced topological space failed admissibility")
-    return InducedSpace(origin=P, space=space, top_of=tops)
+    return induce_cf_from_poset(P, cfg)
 
 
 def closed_sets_iso(P, config=None):
@@ -181,7 +168,10 @@ def omega_from_map(g, config=None):
 
 
 def _origin_poset(space):
-    """Rebuild the poset a relation's induced space came from."""
+    """The poset an induced space came from; any other space is read back
+    as the poset of its relation."""
+    if space._origin is not None:
+        return space._origin
     return FinitePoset(space.universe, space.base.relation)
 
 

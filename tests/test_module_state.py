@@ -9,7 +9,6 @@ import roughdom
 ALLOWED = {
     ("roughdom.category", "_MORPHISM_PART"),
     ("roughdom.corpus", "POSET_COUNTS"),
-    ("roughdom.represent", "_INDUCED_MEMO"),
 }
 
 
@@ -25,5 +24,5 @@ def mutable_module_state():
     return found
 
 
-def test_module_level_mutable_state_is_the_listed_three():
+def test_module_level_mutable_state_is_the_listed_two():
     assert mutable_module_state() == ALLOWED

@@ -276,6 +276,13 @@ def test_validator_agrees_with_literal_axioms(posets_to_4):
     rng = seeded_rng(62)
     spaces = [induce_cf_from_poset(P).space for n in (1, 2, 3) for P in posets_to_4[n]]
     spaces += [random_cf_space(rng) for _ in range(60)]
+    # the identity relation, read from the absorption table, against its
+    # definition: (F, G) with G inside upper(F)
+    for space in spaces:
+        assert validate_cf(space).ok
+        assert identity_relation(space).pairs == {
+            (F, G) for F in space.family for G in space.family
+            if G <= literal_upper(space, F)}
     failures = dict.fromkeys((None, 1, 2, 3, 4, 5), 0)
     unpaired_bounds = 0
     for k in range(20000):

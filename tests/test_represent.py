@@ -1,5 +1,8 @@
 """Induced spaces, carrier isomorphisms, bridges, and witness transfer."""
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import antichain, chain, vee
@@ -67,11 +70,18 @@ def test_induce_rejects_empty():
         induce_cf_from_poset(FinitePoset((), ()))
 
 
+def test_induced_space_lives_with_its_poset():
+    P = chain(3)
+    ref = weakref.ref(induce_cf_from_poset(P))
+    assert induce_cf_from_poset(P) is ref()
+    del P
+    gc.collect()
+    assert ref() is None
+
+
 def test_topcf_coincides_with_cf(zoo):
     for P in zoo:
-        a = induce_cf_from_poset(P).space
-        b = induce_topcf_from_algebraic(P).space
-        assert a == b
+        assert induce_topcf_from_algebraic(P) is induce_cf_from_poset(P)
 
 
 def test_topcf_honours_the_oracle_cap():
@@ -79,8 +89,7 @@ def test_topcf_honours_the_oracle_cap():
     # the caller's cap_oracle rather than the default 12
     P = antichain(13)
     cfg = RunConfig(cap_oracle=14)
-    assert (induce_topcf_from_algebraic(P, cfg).space
-            == induce_cf_from_poset(P, cfg).space)
+    assert induce_topcf_from_algebraic(P, cfg) is induce_cf_from_poset(P, cfg)
 
 
 def test_closed_sets_iso_examples(chain3):
@@ -149,7 +158,12 @@ def test_omega_round_trips_random(posets_to_4):
         g = random_monotone_map(rng, P, Q)
         omega = omega_from_map(g)
         assert validate_approximable(omega).ok
-        assert map_from_omega(omega) == g
+        back = map_from_omega(omega)
+        assert back == g
+        # both directions hand back the posets and spaces they started from
+        assert back.source is g.source and back.target is g.target
+        again = omega_from_map(back)
+        assert again.source is omega.source and again.target is omega.target
 
 
 # -- witness transfer ----------------------------------------------------------------
