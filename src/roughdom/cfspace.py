@@ -14,14 +14,13 @@ Validation has a fast form and a literal oracle.  On a finite universe
 a witness for the greatest chunk, the whole upper approximation of a
 member, covers every smaller chunk too, so the fast form tests that one
 chunk per member; the oracle (``oracle=True`` or ``RunConfig.oracle``)
-walks every chunk and is bounded by ``cap_universe``.  Closedness is
-only ever decided by its definition, every chunk of the candidate set,
-so the brute-force closed-set scan stays an independent cross-check of
-the image algorithm.  The definition reads a member G only through the
-pair (G | upper(G), upper(G)), so each call builds a table with the
-first member of each distinct pair and decides every candidate against
-it; the brute scan still walks every subset of the universe and every
-chunk of each subset up to the first that is not re-covered.
+walks every chunk and is bounded by ``cap_universe``.  The closed sets
+of a validated space are the distinct upper approximations of its
+members, so listing them walks no chunk.  Closedness of one set is
+decided by its definition, every chunk of the set, in ``is_cf_closed``
+and in the brute-force scan that cross-checks the list inside
+``cap_universe``; both read each distinct (G | upper(G), upper(G)) pair
+of masks once.
 """
 
 from __future__ import annotations
@@ -327,32 +326,33 @@ class ClosedSetPoset:
         return len(self.closed_sets)
 
     def __contains__(self, E):
-        return frozenset(E) in set(self.closed_sets)
+        return frozenset(E) in self.poset
 
 
 def cf_closed_sets(space, config=None):
     """Enumerate the closed-set poset of a validated space.
 
-    Runs the image algorithm (candidates are the upper approximations
-    of family members) and, inside the universe cap, cross-checks it
-    against the brute-force scan of all 2^|U| subsets; the two must
-    agree.  Both decide each candidate by the same definitional walk
-    over its chunks, against one ``_cover_table`` built for the call,
-    so for each chunk the brute scan reads the distinct
-    (G | upper(G), upper(G)) pairs, not the whole family.  Results
-    are cached per space; a cached result that was not cross-checked is
-    enumerated and cross-checked again when the caller's cap allows it.
+    The closed sets are the distinct upper approximations of members.
+    A closed E is upper(G) for the member G that re-covers the chunk
+    K = E inside E.  Conversely, validation at K = upper(F) gives a
+    member G inside upper(F) with upper(F) inside upper(G); transitivity
+    puts upper(G) inside upper(F), so the two are equal and G re-covers
+    every chunk of upper(F) inside it.  Inside the universe cap the
+    brute-force scan of all 2^|U| subsets cross-checks the list.
+    Results are cached per space; a cached result that was not
+    cross-checked is enumerated and cross-checked again when the
+    caller's cap allows it.
     """
     require_validated(space)
     cfg = resolve(config)
     cross = len(space.universe) <= cfg.cap_universe
     if space._closed is not None and (space._closed.cross_checked or not cross):
         return space._closed
-    table = _cover_table(space)
-    masks = _closed_masks(table, set(space._rmasks))
-    if cross and _closed_masks(table, range(1 << len(space.universe))) != masks:
+    masks = sorted(set(space._rmasks))
+    if cross and _closed_masks(_cover_table(space),
+                               range(1 << len(space.universe))) != masks:
         raise PostconditionFailed(
-            "closed-set enumeration mismatch between brute force and image algorithm")
+            "closed-set enumeration mismatch between brute force and the member uppers")
     index = {x: i for i, x in enumerate(space.universe)}
     sets = tuple(sorted((space.base.subset(m) for m in masks),
                         key=lambda s: set_key(s, index)))

@@ -288,13 +288,12 @@ def to_map(rel, config=None):
     require_relation_validated(rel)
     cs1 = cf_closed_sets(rel.source, config=config)
     cs2 = cf_closed_sets(rel.target, config=config)
-    closed2 = set(cs2.closed_sets)
     base1, base2 = rel.source.base, rel.target.base
     images = _image_masks(rel, [base1.mask(E) for E in cs1.closed_sets])
     graph = {}
     for E, out in zip(cs1.closed_sets, images):
         value = base2.subset(out)
-        if value not in closed2:
+        if value not in cs2:
             raise PostconditionFailed("induced map produced a non-closed value")
         graph[E] = value
     return MonotoneMap(cs1.poset, cs2.poset, graph)

@@ -102,13 +102,23 @@ def test_closed_sets_examples(good_space, chain3):
     vind = induce_cf_from_poset(vee())
     assert set(cf_closed_sets(vind.space).closed_sets) == {
         frozenset({"bot"}), frozenset({"bot", "a"}), frozenset({"bot", "b"})}
+    # 40 atoms, u_i R u_j for i <= j, the singletons as members: the top
+    # segment alone has 2^40 chunks, so only the member uppers can answer
+    atoms = [f"u{i}" for i in range(40)]
+    wide = CFSpace(GASpace(atoms, [(a, b) for i, a in enumerate(atoms)
+                                   for b in atoms[i:]]),
+                   [[a] for a in atoms])
+    validate_cf(wide)
+    cs = cf_closed_sets(wide)
+    assert not cs.cross_checked
+    assert cs.closed_sets == tuple(frozenset(atoms[:i + 1]) for i in range(40))
 
 
 def test_enumeration_agreement_random():
     rng = seeded_rng(23)
     for _ in range(25):
         space = random_cf_space(rng, max_universe=6)
-        # auto cross-checks brute force against the image algorithm
+        # auto cross-checks the member uppers against the brute scan
         cs = cf_closed_sets(space)
         assert cs.cross_checked
 
@@ -526,20 +536,20 @@ def test_cross_check_catches_a_dropped_closed_set(monkeypatch, chain3):
     calls = []
     real = cfspace._closed_masks
 
-    def drop_one_from_the_image_algorithm(table, candidates):
+    def drop_one_from_the_brute_scan(table, candidates):
         masks = real(table, candidates)
         calls.append(len(masks))
-        # the image algorithm runs first, the brute scan second
-        return masks[1:] if len(calls) == 1 else masks
+        return masks[1:]
 
-    monkeypatch.setattr(cfspace, "_closed_masks", drop_one_from_the_image_algorithm)
+    monkeypatch.setattr(cfspace, "_closed_masks", drop_one_from_the_brute_scan)
     space = CFSpace(induced.base, induced.family)
     validate_cf(space)
     with pytest.raises(PostconditionFailed):
         cf_closed_sets(space)
-    assert calls == [3, 3]
-    # above the cap nothing cross-checks, and the short result comes back
+    assert calls == [3]
+    # above the cap no scan runs, and the three true closed sets come back
     calls.clear()
     small = cf_closed_sets(space, config=RunConfig(cap_universe=2))
-    assert not small.cross_checked and len(small) == 2
-    assert calls == [3]
+    assert not small.cross_checked and small.closed_sets == (
+        frozenset({"0"}), frozenset({"0", "1"}), frozenset({"0", "1", "2"}))
+    assert calls == []
