@@ -129,6 +129,9 @@ def approximable_relations_between(ind1, ind2, config=None):
             rel = ApproximableRelation._from_rows(s1, s2, rows)
             if validate_approximable(rel).ok:
                 out.append(rel)
+                if len(out) > cfg.cap_hom:
+                    raise SizeCapExceeded(
+                        f"relation hom-set exceeds cap_hom={cfg.cap_hom}")
             return
         # axiom (2): rows[i] inside rows[k] when F_i is inside upper(F_k),
         # and rows[k] inside rows[i] when F_k is inside upper(F_i)
@@ -143,8 +146,6 @@ def approximable_relations_between(ind1, ind2, config=None):
                 extend(i + 1)
 
     extend(0)
-    if len(out) > cfg.cap_hom:
-        raise SizeCapExceeded(f"relation hom-set exceeds cap_hom={cfg.cap_hom}")
     return tuple(out)
 
 

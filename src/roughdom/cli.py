@@ -49,7 +49,7 @@ EXIT_MALFORMED = 2
 # the RunConfig caps that have a --cap-* flag
 CAP_FLAGS = ("universe", "family", "hom", "iso", "oracle")
 # every RunConfig cap, by the name it has in report records
-CAPS = CAP_FLAGS + ("cells",)
+CAPS = CAP_FLAGS + ("cells", "members")
 
 THEOREMS = ("rep1", "rep2", "rep3", "rep4", "roundtrip-rel-map",
             "roundtrip-omega", "functor-phi", "functor-psi",

@@ -19,7 +19,9 @@ class RunConfig:
     search.  cap_family bounds family sizes in relation enumeration.
     cap_cells bounds the element pairs n1*n2 of the origin posets
     whose induced spaces a hom-set enumeration may search, and the
-    family cells whose subsets the powerset oracle scans.
+    family cells whose subsets the powerset oracle scans.  cap_members
+    bounds the members of an induced space, counted before any is built
+    (chain(19) has 2**19 - 1).
     oracle makes ``validate_cf`` enumerate every chunk instead of the
     greatest one, makes ``way_below`` and ``is_scott_continuous``
     quantify over every directed subset (within cap_oracle) wherever
@@ -33,12 +35,13 @@ class RunConfig:
     cap_iso: int = 12
     cap_oracle: int = 12
     cap_cells: int = 16
+    cap_members: int = 1 << 19
     oracle: bool = False
     seed: int | None = None
 
     def __post_init__(self):
         for name in ("cap_universe", "cap_family", "cap_hom", "cap_iso", "cap_oracle",
-                     "cap_cells"):
+                     "cap_cells", "cap_members"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

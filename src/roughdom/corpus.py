@@ -1,10 +1,11 @@
 """Deterministic corpus generation for the test harnesses.
 
 Posets are enumerated exhaustively up to isomorphism at small sizes by
-walking order relations compatible with the natural labeling (every
-isomorphism class has such a representative) and deduplicating with the
-isomorphism search.  Random spaces beyond that are seeded; an absent
-seed means only the exhaustive modes are available.
+growing the orders compatible with the natural labeling 0 < 1 < ...
+(every isomorphism class has such an order) and keeping the first order
+of each class, found by lookup among the relabelings of the orders kept
+before it.  Random spaces beyond that are seeded; an absent seed means
+only the exhaustive modes are available.
 """
 
 from __future__ import annotations
@@ -16,30 +17,93 @@ from .config import resolve
 from .errors import SizeCapExceeded
 from .gaspace import GASpace
 from .ordering import bits
-from .poset import FinitePoset, order_isomorphism
+from .poset import FinitePoset
 
 
-def _transitive_upper_masks(n):
-    """Up-set masks of every transitive relation compatible with 0 < 1 < ...."""
-    strict_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+def _pair_bits(n):
+    """Per j, the enumeration-index bits of the strict pairs (i, j), i in d.
+
+    ``table[j][d]`` is indexed by a mask d of elements below j.  The
+    strict pair (i, j) sits at position b of the i-major list (0, 1),
+    (0, 2), ..., (0, n-1), (1, 2), ..., and an order's enumeration index
+    has bit b set when i < j holds in it.  The index is a one-to-one
+    code of the order.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    position = {pair: b for b, pair in enumerate(pairs)}
+    table = []
+    for j in range(n):
+        row = [0] * (1 << j)
+        for d in range(1, 1 << j):
+            low = d & -d
+            row[d] = row[d ^ low] | 1 << position[low.bit_length() - 1, j]
+        table.append(row)
+    return table
+
+
+def _natural_orders(n, pair_bits):
+    """Enumeration indices of the orders compatible with 0 < 1 < ..., ascending.
+
+    Element j goes in as a maximal element over a down-closed subset d
+    of 0..j-1, so each such order arises once, from its restriction to
+    0..j-1 and the strict down-set of j.  The down-closed subsets grow
+    with the order: those of 0..j are those of 0..j-1, plus each of them
+    that holds d with j added.
+    """
     out = []
-    for choice in range(1 << len(strict_pairs)):
-        up = [1 << i for i in range(n)]
-        for b, (i, j) in enumerate(strict_pairs):
-            if (choice >> b) & 1:
-                up[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            ui = up[i]
-            for j in bits(ui):
-                if up[j] & ~ui:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(up))
+
+    def grow(j, index, ideals):
+        if j == n:
+            out.append(index)
+            return
+        row, bit = pair_bits[j], 1 << j
+        for d in ideals:
+            grow(j + 1, index | row[d], ideals + [i | bit for i in ideals if i & d == d])
+
+    grow(0, 0, [0])
+    out.sort()
     return out
+
+
+def _up_masks(index, n):
+    up = [1 << i for i in range(n)]
+    b = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if index >> b & 1:
+                up[i] |= 1 << j
+            b += 1
+    return up
+
+
+def _mark_relabelings(up, pair_bits, seen):
+    """Add the index of each relabeling of ``up`` along a linear extension.
+
+    Placing element e at position k relabels it k.  Its strict down-set
+    is placed already, so the relabeled down-set d of k is known and
+    ``pair_bits[k][d]`` holds the pairs it adds to the index.
+    """
+    n = len(up)
+    down = [0] * n
+    for i in range(n):
+        for j in bits(up[i] & ~(1 << i)):
+            down[j] |= 1 << i
+    position = [0] * n
+
+    def walk(placed, k, index):
+        if k == n:
+            seen.add(index)
+            return
+        row = pair_bits[k]
+        for e in range(n):
+            if not placed >> e & 1 and not down[e] & ~placed:
+                d = 0
+                for x in bits(down[e]):
+                    d |= 1 << position[x]
+                position[e] = k
+                walk(placed | 1 << e, k + 1, index | row[d])
+
+    walk(0, 0, 0)
 
 
 def _poset_from_up_masks(up, labels):
@@ -47,17 +111,22 @@ def _poset_from_up_masks(up, labels):
     return FinitePoset(labels, pairs)
 
 
-def _invariant(P):
-    profile = sorted((len(P.down(x)), len(P.up(x))) for x in P.elements)
-    return (len(P.elements), len(P.leq_pairs), tuple(profile))
-
-
 def all_posets(n, config=None):
     """All posets with exactly n elements, one representative per class.
 
-    Representatives are labeled "x0".."x{n-1}" and returned in the
-    order their candidate relation is first enumerated, so the corpus
-    is stable across runs.
+    Representatives are labeled "x0".."x{n-1}"; each is the order of its
+    class that is compatible with x0 < x1 < ... and has the least
+    enumeration index (see ``_pair_bits``), and they come out ascending
+    by that index, so the corpus is stable across runs.
+
+    Every finite poset has a linear extension, and relabeling along it
+    gives an isomorphic order compatible with 0 < 1 < ...; the orders of
+    one class compatible with it are exactly the relabelings of any one
+    of them along its linear extensions.  The candidates are walked in
+    ascending index, and each one kept marks all of its relabelings as
+    seen.  A candidate not yet seen therefore has no earlier candidate
+    in its class, so it is its class's least one, the representative;
+    no isomorphism is searched and one poset is built per class.
     """
     cfg = resolve(config)
     if n == 0:
@@ -65,16 +134,15 @@ def all_posets(n, config=None):
     if n > cfg.cap_oracle:
         raise SizeCapExceeded(f"exhaustive poset enumeration capped at {cfg.cap_oracle}")
     labels = tuple(f"x{i}" for i in range(n))
-    buckets = {}
+    pair_bits = _pair_bits(n)
+    seen = set()
     out = []
-    for up in _transitive_upper_masks(n):
-        P = _poset_from_up_masks(up, labels)
-        key = _invariant(P)
-        known = buckets.setdefault(key, [])
-        if any(order_isomorphism(P, Q) is not None for Q in known):
+    for index in _natural_orders(n, pair_bits):
+        if index in seen:
             continue
-        known.append(P)
-        out.append(P)
+        up = _up_masks(index, n)
+        _mark_relabelings(up, pair_bits, seen)
+        out.append(_poset_from_up_masks(up, labels))
     return tuple(out)
 
 
@@ -83,8 +151,8 @@ def posets_up_to(n, config=None):
     return {k: all_posets(k, config) for k in range(1, n + 1)}
 
 
-# known class counts, used by the generator's own tests as an oracle
-POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
+# known class counts (OEIS A000112), used by the generator's own tests as an oracle
+POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 
 
 # --------------------------------------------------------------------------

@@ -83,9 +83,11 @@ def _topped_family(P):
 def induce_cf_from_poset(P, config=None):
     """The space (carrier, way-below, topped subsets) of a nonempty poset.
 
-    The admissibility check must pass.  The result is cached on the poset
-    object, so a poset is induced once and witness selection stays
-    reproducible; the space records the poset it came from in turn.
+    The member count is checked against ``cap_members`` before the
+    family is built, and the admissibility check must pass.  The result
+    is cached on the poset object, so a poset is induced once and witness
+    selection stays reproducible; the space records the poset it came
+    from in turn.
     """
     if len(P.elements) == 0:
         raise EmptyPoset("cannot induce a space from the empty poset")
@@ -95,6 +97,11 @@ def induce_cf_from_poset(P, config=None):
         # for and the cached space was validated in the fast form
         validate_cf(P._induced.space, config=cfg)
         return P._induced
+    # each element c tops 2^|{y < c}| members
+    members = sum(1 << (d.bit_count() - 1) for d in P._down_masks)
+    if members > cfg.cap_members:
+        raise SizeCapExceeded(
+            f"induced space needs {members} members, over cap_members={cfg.cap_members}")
     relation = [(x, y) for x in P.elements for y in P.elements
                 if way_below(P, x, y)]
     family, tops = _topped_family(P)

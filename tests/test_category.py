@@ -293,3 +293,18 @@ def test_relation_enumerations_are_bounded_by_cap_cells(chain2):
         brute_force_relations(ind.space, ind.space, tight)  # 9 cells
     with pytest.raises(SizeCapExceeded):
         approximable_relations_between(ind, ind, RunConfig(cap_cells=3))
+
+
+def test_hom_set_search_stops_once_it_passes_cap_hom(monkeypatch):
+    import roughdom.relation as relation
+    from roughdom.config import RunConfig
+    from roughdom.errors import SizeCapExceeded
+
+    ind = induce_cf_from_poset(chain(4))  # 35 relations, one per monotone map
+    calls = []
+    validate = relation._validate
+    monkeypatch.setattr(relation, "_validate", lambda rel: calls.append(rel) or validate(rel))
+    with pytest.raises(SizeCapExceeded):
+        approximable_relations_between(ind, ind, RunConfig(cap_hom=5))
+    # every leaf validated is a relation, so the search stopped at the sixth
+    assert len(calls) == 6

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -290,7 +291,8 @@ def test_machine_record_names_every_cap(chain3_paths, capsys):
                  "validate", str(space_path)]) == 0
     entry = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert entry["caps"] == {"universe": 16, "family": 64, "hom": 20000,
-                             "iso": 5, "oracle": 7, "cells": 16}
+                             "iso": 5, "oracle": 7, "cells": 16,
+                             "members": 1 << 19}
 
 
 @pytest.mark.parametrize("theorem", ["functor-phi", "functor-psi", "equivalence"])
@@ -332,3 +334,23 @@ def test_selector_documents_are_capped_before_materializing(tmp_path, capsys):
     assert main(["validate", three]) == 0
     assert main(["--cap-universe", "2", "validate", three]) == 1
     assert main(["--cap-universe", "2", "validate", two]) == 0
+
+
+def test_rep1_on_a_30_chain_fails_before_building_its_family(tmp_path):
+    # the induced space would have 2^30 - 1 members
+    path = tmp_path / "chain30.poset.json"
+    docs.write_document(path, docs.poset_to_doc(chain(30)))
+    env_path = str(Path(__file__).resolve().parents[1] / "src")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "roughdom", "--format", "machine", "check", "rep1",
+         str(path)],
+        capture_output=True, text=True, timeout=10,
+        env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin:/usr/local/bin"})
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 1
+    (record,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert record["status"] == "fail"
+    assert record["detail"].startswith("SizeCapExceeded")
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0

@@ -9,7 +9,7 @@ from conftest import antichain, chain, vee
 from roughdom.cfspace import CFSpace, validate_cf
 from roughdom.corpus import random_monotone_map, seeded_rng
 from roughdom.config import RunConfig
-from roughdom.errors import EmptyPoset, WitnessInvalid
+from roughdom.errors import EmptyPoset, SizeCapExceeded, WitnessInvalid
 from roughdom.gaspace import GASpace
 from roughdom.poset import (
     FinitePoset,
@@ -68,6 +68,21 @@ def test_induce_singleton():
 def test_induce_rejects_empty():
     with pytest.raises(EmptyPoset):
         induce_cf_from_poset(FinitePoset((), ()))
+
+
+def test_induce_counts_members_against_cap_members():
+    # chain(n) tops 2^n - 1 members, vee() five
+    tight = RunConfig(cap_members=7)
+    assert len(induce_cf_from_poset(chain(3), tight).space.family) == 7
+    assert len(induce_cf_from_poset(vee(), RunConfig(cap_members=5)).space.family) == 5
+    with pytest.raises(SizeCapExceeded):
+        induce_cf_from_poset(chain(4), tight)
+    with pytest.raises(SizeCapExceeded):
+        induce_cf_from_poset(vee(), RunConfig(cap_members=4))
+    # the default admits chain(19); chain(20) is refused before a member is built
+    assert RunConfig().cap_members == 2**19
+    with pytest.raises(SizeCapExceeded):
+        induce_cf_from_poset(chain(20))
 
 
 def test_induced_space_lives_with_its_poset():
