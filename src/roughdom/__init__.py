@@ -98,9 +98,7 @@ from .category import (
     check_equivalence_evidence,
     check_functor_laws,
     phi_morphism,
-    phi_object,
     psi_morphism,
-    psi_object,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ from .relation import (
     validate_approximable,
 )
 from .represent import (
-    InducedSpace,
     induce_cf_from_poset,
     map_from_omega,
     omega_from_map,
@@ -69,20 +68,9 @@ def space_category(induced, config=None):
         compose=compose)
 
 
-def phi_object(P, config=None):
-    """Induced space of a poset (object part of the poset-to-space functor)."""
-    return induce_cf_from_poset(P, config).space
-
-
 def phi_morphism(g, config=None):
     """Induced relation of a Scott-continuous map."""
     return omega_from_map(g, config)
-
-
-def psi_object(space_like, config=None):
-    """Closed-set poset of a space (object part of the space-to-poset functor)."""
-    space = space_like.space if isinstance(space_like, InducedSpace) else space_like
-    return cf_closed_sets(space, config=config)
 
 
 def psi_morphism(rel, config=None):

@@ -299,27 +299,47 @@ def to_map(rel, config=None):
     return MonotoneMap(cs1.poset, cs2.poset, graph)
 
 
-def from_map(f, source_space, target_space, config=None):
-    """The relation a Scott-continuous map between closed-set posets induces.
+def _from_image_masks(source, target, image):
+    """The relation pairing F with every target member inside
+    ``image[upper(F)]``.
 
-    Pairs (F, G) with G inside f(upper(F)); the result always satisfies
-    the morphism axioms, which is asserted.
+    ``image`` maps each distinct upper mask of the source to a mask over
+    the target universe; each row is built once per distinct upper(F).
+    Every map-to-relation construction goes through here, and its result
+    must satisfy the morphism axioms, which is asserted.
     """
-    cs1 = cf_closed_sets(source_space, config=config)
-    cs2 = cf_closed_sets(target_space, config=config)
-    if f.source != cs1.poset or f.target != cs2.poset:
-        raise SpaceMismatch("map does not run between the stated closed-set posets")
-    fmasks = target_space._fmasks
+    fmasks = target._fmasks
+    row_of = {}
     rows = []
-    for rf in source_space._rmasks:
-        imask = target_space.base.mask(f(source_space.base.subset(rf)))
-        rows.append(sum(1 << j for j, gm in enumerate(fmasks) if gm & ~imask == 0))
-    rel = ApproximableRelation._from_rows(source_space, target_space, rows)
+    for rf in source._rmasks:
+        row = row_of.get(rf)
+        if row is None:
+            imask = image[rf]
+            row = row_of[rf] = sum(1 << j for j, gm in enumerate(fmasks)
+                                   if gm & ~imask == 0)
+        rows.append(row)
+    rel = ApproximableRelation._from_rows(source, target, rows)
     rep = validate_approximable(rel)
     if not rep.ok:
         raise PostconditionFailed(
             f"map-induced relation failed axiom ({rep.failing})")
     return rel
+
+
+def from_map(f, source_space, target_space, config=None):
+    """The relation a Scott-continuous map between closed-set posets induces.
+
+    Pairs (F, G) with G inside f(upper(F)), f being read once per
+    distinct upper(F); the result always satisfies the morphism axioms,
+    which is asserted.
+    """
+    cs1 = cf_closed_sets(source_space, config=config)
+    cs2 = cf_closed_sets(target_space, config=config)
+    if f.source != cs1.poset or f.target != cs2.poset:
+        raise SpaceMismatch("map does not run between the stated closed-set posets")
+    base1, base2 = source_space.base, target_space.base
+    image = {rf: base2.mask(f(base1.subset(rf))) for rf in set(source_space._rmasks)}
+    return _from_image_masks(source_space, target_space, image)
 
 
 # --------------------------------------------------------------------------

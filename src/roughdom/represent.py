@@ -11,7 +11,7 @@ extraction from kernel-operator families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .config import resolve
@@ -34,7 +34,6 @@ from .poset import (
     identity_map,
     is_algebraic_domain,
     is_finitely_separating,
-    order_isomorphism,
     supremum,
     way_below,
     verify_bf_domain_witness,
@@ -42,6 +41,7 @@ from .poset import (
 )
 from .relation import (
     ApproximableRelation,
+    _from_image_masks,
     _image_masks,
     compose,
     identity_relation,
@@ -52,32 +52,27 @@ from .witness import TBSelector, WitnessFamily, check_tb, classify_space, defaul
 
 @dataclass(frozen=True)
 class InducedSpace:
-    """A CF space induced by a poset, with the top-element bookkeeping."""
+    """A CF space induced by a poset, with the poset it came from.
+
+    A member's top is never looked up: upper(F) is the down-set of the
+    top of F, which is all the relation builders read.
+    """
 
     origin: FinitePoset
     space: CFSpace
-    top_of: dict = field(compare=False)
-
-    def top(self, F):
-        return self.top_of[frozenset(F)]
 
 
 def _topped_family(P):
     """Finite subsets of the carrier with a top element, canonical order."""
     family = []
-    tops = {}
     for c in P.elements:
         below = [y for y in P.elements if P.leq(y, c) and y != c]
         for size in range(len(below) + 1):
             for rest in combinations(below, size):
-                F = frozenset(rest) | {c}
-                family.append(F)
-                tops[F] = c
+                family.append(frozenset(rest) | {c})
     index = {x: i for i, x in enumerate(P.elements)}
-    order = sorted(range(len(family)),
-                   key=lambda k: (len(family[k]),
-                                  tuple(sorted(index[x] for x in family[k]))))
-    return tuple(family[k] for k in order), tops
+    family.sort(key=lambda F: (len(F), tuple(sorted(index[x] for x in F))))
+    return tuple(family)
 
 
 def induce_cf_from_poset(P, config=None):
@@ -104,13 +99,12 @@ def induce_cf_from_poset(P, config=None):
             f"induced space needs {members} members, over cap_members={cfg.cap_members}")
     relation = [(x, y) for x in P.elements for y in P.elements
                 if way_below(P, x, y)]
-    family, tops = _topped_family(P)
-    space = CFSpace(GASpace(P.elements, relation), family)
+    space = CFSpace(GASpace(P.elements, relation), _topped_family(P))
     report = validate_cf(space, config=cfg)
     if not report.ok:
         raise PostconditionFailed("induced space failed the admissibility check")
     space._origin = P
-    P._induced = InducedSpace(origin=P, space=space, top_of=tops)
+    P._induced = InducedSpace(origin=P, space=space)
     return P._induced
 
 
@@ -158,20 +152,18 @@ def omega_from_map(g, config=None):
     """The relation induced by a Scott-continuous map between posets.
 
     Pairs (F, G) whose tops satisfy: top(G) way below the image of
-    top(F).  Validates as a morphism, and is monotone in g.
+    top(F).  On a finite poset way-below is the order, so upper(F) is
+    the down-set upper({top F}), and G lies inside upper({c}) exactly
+    when top(G) <= c.  The rows are therefore those of ``from_map`` for
+    g moved onto the closed sets: upper({x}) goes to upper({g(x)}).
+    Validates as a morphism, and is monotone in g.
     """
-    src = induce_cf_from_poset(g.source, config)
-    tgt = induce_cf_from_poset(g.target, config)
-    rows = []
-    for F in src.space.family:
-        gc = g(src.top(F))
-        rows.append(sum(1 << j for j, G in enumerate(tgt.space.family)
-                        if way_below(g.target, tgt.top(G), gc)))
-    rel = ApproximableRelation._from_rows(src.space, tgt.space, rows)
-    rep = validate_approximable(rel)
-    if not rep.ok:
-        raise PostconditionFailed(f"map-induced relation failed axiom ({rep.failing})")
-    return rel
+    P, Q = g.source, g.target
+    src = induce_cf_from_poset(P, config).space
+    tgt = induce_cf_from_poset(Q, config).space
+    down, index = Q._down_masks, Q._index
+    image = {d: down[index[g(x)]] for x, d in zip(P.elements, P._down_masks)}
+    return _from_image_masks(src, tgt, image)
 
 
 def _origin_poset(space):
@@ -213,15 +205,17 @@ def fs_witness_from_domain(P, deltas=None, mode="plain", config=None):
     The map family must be an approximate identity of finitely
     separating maps (kernel operators with finite range in ``bf``
     mode); when none is supplied the identity map serves, which makes
-    every finite poset pass.  Modes differ in the pair rule and the
+    every finite poset pass.  Modes differ in the relation and the
     separator choice:
 
-    - plain: pair when top(G) is way below delta(top(F)); separators are
-      the singletons over a separating witness of delta.
-    - strong: pair through delta applied twice; separators are the
-      delta-images of a separating witness.
-    - bf: pair when top(G) sits below delta(top(F)) in the order;
-      separators are the singletons over the range of delta.
+    - plain: ``omega_from_map(delta)``, pairing when top(G) is way below
+      delta(top(F)); separators are the singletons over a separating
+      witness of delta.
+    - strong: ``omega_from_map`` of delta applied twice; separators are
+      the delta-images of a separating witness.
+    - bf: ``omega_from_map(delta)`` too, since way-below is the order on
+      a finite poset; separators are the singletons over the range of
+      delta.
     """
     cfg = resolve(config)
     if deltas is None:
@@ -243,23 +237,16 @@ def fs_witness_from_domain(P, deltas=None, mode="plain", config=None):
     rels = []
     seps = []
     for d in deltas:
+        rels.append(omega_from_map(compose_maps(d, d) if mode == "strong" else d, cfg))
         if mode == "plain":
-            pair_ok = lambda cg, cf: way_below(P, cg, d(cf))
             M = is_finitely_separating(d)
             sep = tuple(frozenset([m]) for m in P.elements if m in M)
         elif mode == "strong":
-            dd = compose_maps(d, d)
-            pair_ok = lambda cg, cf: way_below(P, cg, dd(cf))
             M = is_finitely_separating(d)
             sep = tuple(frozenset([d(m)]) for m in P.elements if m in M)
         else:
-            pair_ok = lambda cg, cf: P.leq(cg, d(cf))
             image = d.image()
             sep = tuple(frozenset([m]) for m in P.elements if m in image)
-        rows = [sum(1 << j for j, G in enumerate(space.family)
-                    if pair_ok(ind.top(G), ind.top(F)))
-                for F in space.family]
-        rels.append(ApproximableRelation._from_rows(space, space, rows))
         seps.append(tuple(dict.fromkeys(sep)))
     w = WitnessFamily(space, rels, seps)
     cls = classify_space(space, w)
@@ -322,10 +309,12 @@ class SelfIso:
 def space_self_iso(space, witness=None, config=None):
     """Exhibit the space as isomorphic to the space its closed sets induce.
 
-    The closed-set poset is re-induced into a space (the "double");
-    forward pairs a member F with a topped collection whose top is way
-    below upper(F), backward pairs a collection with every member inside
-    its top.  Both compositions must be the respective identities.
+    The closed-set poset is re-induced into a space (the "double").
+    Both relations are read off the carrier map E -> upper_double({E})
+    of the closed-set poset: forward pairs a member F with a topped
+    collection whose top is way below (inside) upper(F), backward, from
+    the inverse map, pairs a collection with every member inside its
+    top.  Both compositions must be the respective identities.
     """
     cfg = resolve(config)
     require_validated(space)
@@ -340,41 +329,14 @@ def space_self_iso(space, witness=None, config=None):
         raise SizeCapExceeded(
             f"re-induced family has {len(double.space.family)} members, "
             f"beyond cap_family={cfg.cap_family}")
-    fwd_rows = [0] * len(space.family)
-    bwd_rows = [0] * len(double.space.family)
-    for i, F in enumerate(space.family):
-        rf = space.upper_of_member(F)
-        for c, C in enumerate(double.space.family):
-            top = double.top(C)
-            if top <= rf:  # way below in the inclusion order
-                fwd_rows[i] |= 1 << c
-            if F <= top:
-                bwd_rows[c] |= 1 << i
-    forward = ApproximableRelation._from_rows(space, double.space, fwd_rows)
-    backward = ApproximableRelation._from_rows(double.space, space, bwd_rows)
-    for rel in (forward, backward):
-        rep = validate_approximable(rel)
-        if not rep.ok:
-            raise PostconditionFailed(
-                f"self-iso relation failed axiom ({rep.failing})")
+    # every upper(F) of a validated space is a closed set, so a key here
+    Q = cs.poset
+    carrier = dict(zip(map(space.base.mask, Q.elements), Q._down_masks))
+    forward = _from_image_masks(space, double.space, carrier)
+    backward = _from_image_masks(double.space, space,
+                                 {up: e for e, up in carrier.items()})
     if compose(backward, forward) != identity_relation(space):
         raise PostconditionFailed("backward after forward is not the identity")
     if compose(forward, backward) != identity_relation(double.space):
         raise PostconditionFailed("forward after backward is not the identity")
     return SelfIso(space=space, double=double, forward=forward, backward=backward)
-
-
-def representation_round_trip(P, config=None):
-    """Carrier-to-closed-set isomorphism plus the isomorphism search.
-
-    Returns the explicit carrier map and the independently searched
-    poset isomorphism; the tests compare the two.
-    """
-    cfg = resolve(config)
-    ind = induce_cf_from_poset(P, cfg)
-    cs = cf_closed_sets(ind.space, config=cfg)
-    explicit = closed_sets_iso(P, cfg)
-    searched = order_isomorphism(P, cs.poset, cfg)
-    if searched is None:
-        raise IsoCheckFailed("no isomorphism found between the poset and its closed sets")
-    return explicit, searched

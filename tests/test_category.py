@@ -9,13 +9,11 @@ from roughdom.category import (
     check_equivalence_evidence,
     check_functor_laws,
     phi_morphism,
-    phi_object,
     psi_morphism,
-    psi_object,
 )
 from roughdom.cfspace import cf_closed_sets
 from roughdom.corpus import all_posets
-from roughdom.poset import MonotoneMap, compose_maps, identity_map, monotone_maps
+from roughdom.poset import MonotoneMap, compose_maps, identity_map, monotone_maps, supremum
 from roughdom.relation import compose, identity_relation
 from roughdom.represent import induce_cf_from_poset
 
@@ -26,7 +24,8 @@ def small_objects():
 
 
 def test_phi_preserves_identity(chain2):
-    assert phi_morphism(identity_map(chain2)) == identity_relation(phi_object(chain2))
+    assert phi_morphism(identity_map(chain2)) == \
+        identity_relation(induce_cf_from_poset(chain2).space)
 
 
 def test_phi_preserves_composition(chain2, chain3):
@@ -41,7 +40,7 @@ def test_phi_constant_map_pairs(chain2):
     rel = phi_morphism(const)
     ind = induce_cf_from_poset(chain2)
     expected = {(F, G) for F in ind.space.family for G in ind.space.family
-                if ind.top(G) == "0"}
+                if supremum(chain2, G) == "0"}
     assert rel.pairs == frozenset(expected)
 
 
@@ -71,7 +70,8 @@ def element_determined(rel, ind1, ind2):
     for F in ind1.space.family:
         for G in ind2.space.family:
             direct = (F, G) in rel
-            collapsed = (frozenset([ind1.top(F)]), frozenset([ind2.top(G)])) in rel
+            collapsed = (frozenset([supremum(ind1.origin, F)]),
+                         frozenset([supremum(ind2.origin, G)])) in rel
             if direct != collapsed:
                 return False
     return True
@@ -249,7 +249,7 @@ def test_composite_functor_returns_isomorphic_poset(posets_to_4):
 
     for size, posets in posets_to_4.items():
         for P in posets:
-            back = psi_object(phi_object(P)).poset
+            back = cf_closed_sets(induce_cf_from_poset(P).space).poset
             assert order_isomorphism(P, back) is not None
 
 

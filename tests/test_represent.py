@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from conftest import antichain, chain, vee
-from roughdom.cfspace import CFSpace, validate_cf
+from roughdom.cfspace import CFSpace, cf_closed_sets, validate_cf
 from roughdom.corpus import random_monotone_map, seeded_rng
 from roughdom.config import RunConfig
 from roughdom.errors import EmptyPoset, SizeCapExceeded, WitnessInvalid
@@ -16,7 +16,9 @@ from roughdom.poset import (
     MonotoneMap,
     identity_map,
     monotone_maps,
+    order_isomorphism,
     pointwise_leq,
+    supremum,
 )
 from roughdom.relation import identity_relation, validate_approximable
 from roughdom.represent import (
@@ -26,7 +28,6 @@ from roughdom.represent import (
     induce_topcf_from_algebraic,
     map_from_omega,
     omega_from_map,
-    representation_round_trip,
     space_self_iso,
     tb_witness_from_bf,
 )
@@ -38,7 +39,6 @@ def test_induce_chain3(chain3):
     assert len(ind.space.universe) == 3
     assert len(ind.space.base.relation) == 3 + 3  # diagonal plus strict pairs
     assert len(ind.space.family) == 7
-    assert ind.top(frozenset({"0", "2"})) == "2"
 
 
 def test_induce_memo_hit_honours_the_oracle():
@@ -121,9 +121,11 @@ def test_closed_sets_iso_examples(chain3):
 
 def test_representation_round_trip(zoo):
     for P in zoo:
-        explicit, searched = representation_round_trip(P)
+        explicit = closed_sets_iso(P)
+        back = cf_closed_sets(induce_cf_from_poset(P).space).poset
+        searched = order_isomorphism(P, back)
         assert len(explicit) == len(P.elements)
-        assert len(searched) == len(P.elements)
+        assert searched is not None and len(searched) == len(P.elements)
 
 
 # -- omega bridges ----------------------------------------------------------------
@@ -139,10 +141,10 @@ def test_omega_of_constant_bottom(chain2):
     omega = omega_from_map(const)
     ind = induce_cf_from_poset(chain2)
     for F, G in omega.pairs:
-        assert ind.top(G) == "0"
+        assert supremum(chain2, G) == "0"
     assert all((F, G) in omega
                for F in ind.space.family for G in ind.space.family
-               if ind.top(G) == "0")
+               if supremum(chain2, G) == "0")
 
 
 def test_omega_monotone_in_map(zoo):
@@ -330,3 +332,59 @@ def test_tb_witness_with_kernel_family():
                and all(f(f(x)) == f(x) for x in P.elements)]
     sel = tb_witness_from_bf(P, kernels)
     assert check_tb(sel)
+
+
+# -- every relation read off a map, against its literal definition ---------------
+
+def literal_rows(source, target, holds):
+    """Target-index bitmasks of the pairs (F, G) for which ``holds`` does."""
+    return tuple(sum(1 << j for j, G in enumerate(target.family) if holds(F, G))
+                 for F in source.family)
+
+
+def test_map_relations_match_their_literal_definitions(posets_to_4):
+    from conftest import diamond
+    from roughdom.corpus import random_cf_space
+    from roughdom.poset import compose_maps, way_below
+
+    def below(Q, G, c, oracle):
+        return way_below(Q, supremum(Q, G), c, oracle=True) if oracle \
+            else Q.leq(supremum(Q, G), c)
+
+    # omega: top(G) way below g(top(F)), tops read off with supremum
+    sources = [P for size in (1, 2, 3, 4) for P in posets_to_4[size]]
+    for P in sources:
+        for Q in sources[:8]:
+            for g in monotone_maps(P, Q):
+                rel = omega_from_map(g)
+                assert rel.rows == literal_rows(
+                    rel.source, rel.target,
+                    lambda F, G: below(Q, G, g(supremum(P, F)), oracle=True))
+
+    # witness transfer: delta, or delta after delta in strong mode; bf
+    # mode pairs by the order
+    P = diamond()
+    family = [f for f in monotone_maps(P, P)
+              if all(P.leq(f(x), x) for x in P.elements)]
+    kernels = [f for f in family if all(f(f(x)) == f(x) for x in P.elements)]
+    cases = [(Q, None, mode) for Q in posets_to_4[4] for mode in ("plain", "strong", "bf")]
+    cases += [(P, family, "plain"), (P, family, "strong"), (P, kernels, "bf")]
+    for Q, deltas, mode in cases:
+        w = fs_witness_from_domain(Q, deltas, mode=mode)
+        for d, rel in zip(deltas or (identity_map(Q),), w.relations):
+            step = compose_maps(d, d) if mode == "strong" else d
+            assert rel.rows == literal_rows(
+                w.space, w.space,
+                lambda F, G: below(Q, G, step(supremum(Q, F)), oracle=mode != "bf"))
+
+    # self-iso: forward when top(C) lies inside upper(F), backward when F
+    # lies inside top(C)
+    spaces = [induce_cf_from_poset(Q).space for Q in posets_to_4[4]]
+    spaces += [random_cf_space(seeded_rng(s)) for s in range(20)]
+    for space in spaces:
+        iso = space_self_iso(space)
+        closed, double = iso.double.origin, iso.double.space
+        assert iso.forward.rows == literal_rows(
+            space, double, lambda F, C: supremum(closed, C) <= space.upper_of_member(F))
+        assert iso.backward.rows == literal_rows(
+            double, space, lambda C, F: F <= supremum(closed, C))
